@@ -957,8 +957,8 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
      that carries partition chaos (one that owns neither copy) are both
      known before any process starts. *)
   let warm_fp =
-    match Constructions.Registry.build warm_name warm_k with
-    | Ok game -> Cache.Fingerprint.of_game game
+    match Cache.Fingerprint.of_construction warm_name warm_k with
+    | Ok fp -> fp
     | Error e ->
       Printf.eprintf "cluster: cannot build warm construction: %s\n%!" e;
       exit 2
@@ -988,10 +988,9 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
         (fun name ->
           List.filter_map
             (fun k ->
-              match Constructions.Registry.build name k with
+              match Cache.Fingerprint.of_construction name k with
               | Error _ -> None
-              | Ok game ->
-                let fp = Cache.Fingerprint.of_game game in
+              | Ok fp ->
                 if fp = warm_fp then None
                 else
                   let owners = Router.Ring.owners ring ~n:2 fp in

@@ -11,19 +11,41 @@ let error fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 (* --- exact rationals as strings --- *)
 
+(* [Some v] when [s.[i..j)] is an optional '-' and 1-18 decimal digits:
+   the form [Bigint.of_string] would keep on the machine-word tier, read
+   here without its general decimal conversion. *)
+let small_int s i j =
+  let negative = i < j && s.[i] = '-' in
+  let first = if negative then i + 1 else i in
+  let rec digits k acc =
+    if k = j then Some (if negative then -acc else acc)
+    else
+      match s.[k] with
+      | '0' .. '9' as c -> digits (k + 1) ((acc * 10) + Char.code c - 48)
+      | _ -> None
+  in
+  if first < j && j - first <= 18 then digits first 0 else None
+
 let rat_of_string s =
+  let len = String.length s in
   match String.index_opt s '/' with
   | None -> (
-    match Bigint.of_string s with
-    | n -> Ok (Rat.of_bigint n)
-    | exception Invalid_argument _ -> error "invalid rational %S" s)
+    match small_int s 0 len with
+    | Some n -> Ok (Rat.of_int n)
+    | None -> (
+      match Bigint.of_string s with
+      | n -> Ok (Rat.of_bigint n)
+      | exception Invalid_argument _ -> error "invalid rational %S" s))
   | Some i -> (
-    let num = String.sub s 0 i in
-    let den = String.sub s (i + 1) (String.length s - i - 1) in
-    match (Bigint.of_string num, Bigint.of_string den) with
-    | n, d when not (Bigint.is_zero d) -> Ok (Rat.make n d)
-    | _ -> error "invalid rational %S (zero denominator)" s
-    | exception Invalid_argument _ -> error "invalid rational %S" s)
+    match (small_int s 0 i, small_int s (i + 1) len) with
+    | Some n, Some d when d <> 0 -> Ok (Rat.of_ints n d)
+    | _ -> (
+      let num = String.sub s 0 i in
+      let den = String.sub s (i + 1) (len - i - 1) in
+      match (Bigint.of_string num, Bigint.of_string den) with
+      | n, d when not (Bigint.is_zero d) -> Ok (Rat.make n d)
+      | _ -> error "invalid rational %S (zero denominator)" s
+      | exception Invalid_argument _ -> error "invalid rational %S" s))
 
 let rat_to_json r = Sink.Str (Rat.to_string r)
 

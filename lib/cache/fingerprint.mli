@@ -29,6 +29,14 @@ val game : Bi_graph.Graph.t -> prior:(int * int) array Bi_prob.Dist.t -> string
 val of_game : Bi_ncs.Bayesian_ncs.t -> string
 (** Fingerprint of an already-built game, via its graph and prior. *)
 
+val of_construction : string -> int -> (string, string) result
+(** [of_construction name k] is [Result.map of_game (Registry.build
+    name k)] without building the game more than once per process:
+    answers (fingerprints and builder errors alike) are memoised for
+    every registered name and [k] in [[1, Registry.max_k]] — at most
+    [List.length Registry.names * Registry.max_k] entries.  Safe to call
+    from concurrent threads and domains. *)
+
 val digest_hex : string -> string
 (** MD5 of arbitrary bytes in lowercase hex — the hash used throughout
     the cache (store entry checksums, compound keys). *)

@@ -1,4 +1,5 @@
 let names = [ "anshelevich"; "gworst-bliss"; "gworst-curse"; "affine"; "diamond" ]
+let max_k = 32
 
 let describe =
   "anshelevich (K = k), gworst-bliss, gworst-curse (K = k), affine (K = prime \

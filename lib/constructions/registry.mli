@@ -7,6 +7,10 @@
 val names : string list
 (** The recognized construction names. *)
 
+val max_k : int
+(** The largest size parameter the analysis service accepts (32); the
+    wire protocol rejects anything outside [[1, max_k]]. *)
+
 val describe : string
 (** One-line human summary of the names and their size parameters. *)
 

@@ -72,31 +72,37 @@ let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
    structured error. *)
 let max_depth = 512
 
+(* A scanner over the string: one position, no option or closure per
+   character.  Escape-free strings are one [String.sub] and short
+   decimal integers are decoded in place; everything rarer (escapes,
+   fractions, exponents, long integers) takes the general route.
+   test/test_wire.ml holds the accepted language, the values and the
+   error strings to a plain recursive-descent reference parser. *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      incr pos
+    done
   in
+  let at c = !pos < n && s.[!pos] = c in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> parse_error "expected %C at offset %d, got %C" c !pos c'
-    | None -> parse_error "expected %C, got end of input" c
+    if !pos >= n then parse_error "expected %C, got end of input" c
+    else if s.[!pos] <> c then
+      parse_error "expected %C at offset %d, got %C" c !pos s.[!pos]
+    else incr pos
   in
   let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
+    let l = String.length word and p = !pos in
+    let rec matches i = i = l || (s.[p + i] = word.[i] && matches (i + 1)) in
+    if p + l <= n && matches 0 then begin
+      pos := p + l;
       value
     end
-    else parse_error "invalid literal at offset %d" !pos
+    else parse_error "invalid literal at offset %d" p
   in
   (* BMP code points only: our encoder never emits surrogate pairs. *)
   let utf8_of_code buf code =
@@ -111,6 +117,8 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
   in
+  (* [int_of_string] defines the escape's digits: it also takes '_'
+     separators, which the wire has always accepted. *)
   let hex4 () =
     if !pos + 4 > n then parse_error "truncated \\u escape at offset %d" !pos;
     let v =
@@ -121,121 +129,144 @@ let of_string s =
     pos := !pos + 4;
     v
   in
+  (* Decodes from [!pos] (inside the quotes) through a buffer that
+     already holds the string's clean prefix. *)
+  let rec unescape buf =
+    if !pos >= n then parse_error "unterminated string";
+    let c = s.[!pos] in
+    incr pos;
+    if c = '"' then Buffer.contents buf
+    else begin
+      if c <> '\\' then Buffer.add_char buf c
+      else begin
+        if !pos >= n then parse_error "unterminated escape";
+        let e = s.[!pos] in
+        incr pos;
+        match e with
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '/' -> Buffer.add_char buf '/'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'b' -> Buffer.add_char buf '\b'
+        | 'f' -> Buffer.add_char buf '\012'
+        | 'u' -> utf8_of_code buf (hex4 ())
+        | e -> parse_error "unknown escape \\%c" e
+      end;
+      unescape buf
+    end
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then parse_error "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (match peek () with
-        | None -> parse_error "unterminated escape"
-        | Some e -> (
-          advance ();
-          match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' -> utf8_of_code buf (hex4 ())
-          | e -> parse_error "unknown escape \\%c" e));
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
     let start = !pos in
-    let numeric = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> numeric c | None -> false) do
-      advance ()
+    let stop = ref start in
+    while !stop < n && s.[!stop] <> '"' && s.[!stop] <> '\\' do
+      incr stop
     done;
-    if !pos = start then parse_error "unexpected character at offset %d" start;
-    let tok = String.sub s start (!pos - start) in
+    if !stop < n && s.[!stop] = '"' then begin
+      pos := !stop + 1;
+      String.sub s start (!stop - start)
+    end
+    else begin
+      let buf = Buffer.create (!stop - start + 16) in
+      Buffer.add_substring buf s start (!stop - start);
+      pos := !stop;
+      unescape buf
+    end
+  in
+  let general_number start stop =
+    let tok = String.sub s start (stop - start) in
     let fractional = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
-    match (if fractional then None else int_of_string_opt tok) with
+    match if fractional then None else int_of_string_opt tok with
     | Some i -> Int i
     | None -> (
       match float_of_string_opt tok with
       | Some f -> Float f
       | None -> parse_error "invalid number %S at offset %d" tok start)
   in
+  let parse_number () =
+    let start = !pos in
+    while
+      !pos < n
+      && match s.[!pos] with
+         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+         | _ -> false
+    do
+      incr pos
+    done;
+    let stop = !pos in
+    if stop = start then parse_error "unexpected character at offset %d" start;
+    (* Fast path: an optional sign and at most 18 digits, which cannot
+       overflow and which [int_of_string] reads the same way. *)
+    let negative = s.[start] = '-' in
+    let first = if negative || s.[start] = '+' then start + 1 else start in
+    let plain = ref (first < stop && stop - first <= 18) in
+    let acc = ref 0 and i = ref first in
+    while !plain && !i < stop do
+      (match s.[!i] with
+      | '0' .. '9' as c -> acc := (!acc * 10) + Char.code c - 48
+      | _ -> plain := false);
+      incr i
+    done;
+    if !plain then Int (if negative then - !acc else !acc)
+    else general_number start stop
+  in
   let rec parse_value depth =
     if depth > max_depth then
       parse_error "nesting deeper than %d at offset %d" max_depth !pos;
     skip_ws ();
-    match peek () with
-    | None -> parse_error "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
-      advance ();
+    if !pos >= n then parse_error "unexpected end of input";
+    match s.[!pos] with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> Str (parse_string ())
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
-      else begin
-        let rec items acc =
-          let v = parse_value (depth + 1) in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            List (List.rev (v :: acc))
-          | _ -> parse_error "expected ',' or ']' at offset %d" !pos
-        in
-        items []
-      end
-    | Some '{' ->
-      advance ();
+      else items depth []
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value (depth + 1) in
-          (k, v)
-        in
-        let rec fields acc =
-          let kv = field () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields (kv :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev (kv :: acc))
-          | _ -> parse_error "expected ',' or '}' at offset %d" !pos
-        in
-        fields []
-      end
-    | Some _ -> parse_number ()
+      else fields depth []
+    | _ -> parse_number ()
+  and items depth acc =
+    let v = parse_value (depth + 1) in
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      items depth (v :: acc)
+    end
+    else if at ']' then begin
+      incr pos;
+      List (List.rev (v :: acc))
+    end
+    else parse_error "expected ',' or ']' at offset %d" !pos
+  and fields depth acc =
+    skip_ws ();
+    let k = parse_string () in
+    skip_ws ();
+    expect ':';
+    let v = parse_value (depth + 1) in
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      fields depth ((k, v) :: acc)
+    end
+    else if at '}' then begin
+      incr pos;
+      Obj (List.rev ((k, v) :: acc))
+    end
+    else parse_error "expected ',' or '}' at offset %d" !pos
   in
   match
     let v = parse_value 0 in

@@ -70,7 +70,7 @@ let pivot ~binv ~xb ~column ~row =
 let solve ?(on_pivot = fun () -> ()) p =
   validate p;
   let m = Array.length p.b and n = Array.length p.c in
-  (* Sign-normalize so the all-artificial basis is feasible; duals are
+  (* Sign-normalize so the starting basis below is feasible; duals are
      mapped back through the same flips before they leave this
      function, so certificates always refer to the caller's rows. *)
   let flip = Array.map (fun bi -> Stdlib.( < ) (Rat.sign bi) 0) p.b in
@@ -85,7 +85,29 @@ let solve ?(on_pivot = fun () -> ()) p =
     Array.init m (fun i ->
         Array.init m (fun j -> if i = j then Rat.one else Rat.zero))
   in
+  (* Crash basis: a column that is [+1] in row [i] and zero elsewhere
+     (after the flips) is the unit vector [e_i], so it starts basic in
+     row [i] in place of that row's artificial — [B] stays the identity
+     and [x_B = b >= 0] stays feasible.  Slack rows (every deviation
+     row of the correlated polytopes) then cost phase 1 no pivot at
+     all.  The lowest-index unit column claims a row.  [unit_row.(j)]
+     is [-2] while column [j] is all zero so far, [-1] once it is not a
+     unit column, and its row otherwise. *)
+  let unit_row = Array.make n (-2) in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j aij ->
+          if not (Rat.is_zero aij) then
+            unit_row.(j) <-
+              (if unit_row.(j) = -2 && Rat.equal aij Rat.one then i else -1))
+        row)
+    a;
   let basis = Array.init m (fun i -> n + i) in
+  Array.iteri
+    (fun j i ->
+      if Stdlib.( >= ) i 0 && Stdlib.( >= ) basis.(i) n then basis.(i) <- j)
+    unit_row;
   let in_basis = Array.make (n + m) false in
   Array.iter (fun v -> in_basis.(v) <- true) basis;
   let xb = Array.copy b in

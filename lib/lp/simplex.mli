@@ -20,7 +20,9 @@
     basis index.  Bland's rule makes cycling impossible, so termination
     is unconditional even on the degenerate polytopes that equilibrium
     LPs produce.  Phase 1 minimizes the sum of artificial variables
-    from the all-artificial basis; a positive phase-1 optimum yields a
+    from a crash basis — each row starts on a unit column of [A] (a
+    slack) where it has one, on its artificial otherwise, so slack rows
+    need no phase-1 pivot; a positive phase-1 optimum yields a
     Farkas certificate of infeasibility, otherwise basic artificials
     are driven out (rows that cannot be driven out are exactly the
     redundant rows and stay inert) and phase 2 optimizes [c].

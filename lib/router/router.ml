@@ -4,7 +4,6 @@ module Protocol = Bi_serve.Protocol
 module Lineserver = Bi_serve.Lineserver
 module Lru = Bi_cache.Lru
 module Fingerprint = Bi_cache.Fingerprint
-module Registry = Bi_constructions.Registry
 
 type config = {
   replicas : int;
@@ -120,8 +119,9 @@ let front_snapshot t =
 (* One connection per exchange, no retry loop: a failed or overloaded
    shard must surface immediately so the router can fail over to the
    next owner instead of camping on a corpse; the health prober (not
-   the request path) is what decides a shard is down. *)
-let exchange t ?(timeout_s = t.config.shard_timeout_s) member request =
+   the request path) is what decides a shard is down.  [line] is sent
+   verbatim: a client's request is forwarded as the bytes it sent. *)
+let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
   match addr_of_member member with
   | Error e -> Error (Client.Io e)
   | Ok addr -> (
@@ -131,11 +131,13 @@ let exchange t ?(timeout_s = t.config.shard_timeout_s) member request =
     | client ->
       Fun.protect
         ~finally:(fun () -> Client.close client)
-        (fun () -> Client.request client request))
+        (fun () -> Client.request_line client line))
 
 let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
   Metrics.forward t.metrics;
-  match exchange t member (Protocol.put_request ~kind ~fingerprint body) with
+  match
+    exchange t member (Sink.to_string (Protocol.put_request ~kind ~fingerprint body))
+  with
   | Ok resp when Protocol.is_ok resp ->
     Metrics.replication t.metrics;
     true
@@ -343,10 +345,6 @@ let handle t ~tick line =
         Metrics.error t.metrics;
         (Protocol.error e, `Continue)
       | Ok { Protocol.query; _ } -> (
-        let request =
-          (* parse_request succeeded, so the line is valid JSON. *)
-          match Sink.of_string line with Ok j -> j | Error _ -> assert false
-        in
         (* Routing keys are tier- and concept-qualified, so exhaustive,
            certified and correlated answers for the same game live on
            (possibly) different owners and never alias; certified and
@@ -379,17 +377,15 @@ let handle t ~tick line =
           let fingerprint =
             routing_key (Fingerprint.game graph ~prior) ~mode ~concept
           in
-          (route_analysis t ~tick ~request ~fingerprint, `Continue)
+          (route_analysis t ~tick ~request:line ~fingerprint, `Continue)
         | Protocol.Construction { name; k; mode; concept } -> (
-          match Registry.build name k with
+          match Fingerprint.of_construction name k with
           | Error e ->
             Metrics.error t.metrics;
             (Protocol.error e, `Continue)
-          | Ok game ->
-            let fingerprint =
-              routing_key (Fingerprint.of_game game) ~mode ~concept
-            in
-            (route_analysis t ~tick ~request ~fingerprint, `Continue))
+          | Ok fingerprint ->
+            let fingerprint = routing_key fingerprint ~mode ~concept in
+            (route_analysis t ~tick ~request:line ~fingerprint, `Continue))
         | Protocol.Put { fingerprint; value } ->
           let kind, body =
             match value with
@@ -446,7 +442,7 @@ let probe t ~tick member =
   let healthy =
     match
       exchange t ~timeout_s:t.config.probe_timeout_s member
-        Protocol.health_request
+        (Sink.to_string Protocol.health_request)
     with
     | Ok resp -> Protocol.is_ok resp
     | Error _ -> false
@@ -471,7 +467,7 @@ let probe t ~tick member =
    bucket.  [Error] covers transport failure and pre-repair shards that
    reject the verb — both mean "skip this round", never "diverged". *)
 let member_rollup t member =
-  match exchange t member (Protocol.digest_request ()) with
+  match exchange t member (Sink.to_string (Protocol.digest_request ())) with
   | Error _ -> Error ()
   | Ok resp ->
     if Protocol.is_ok resp then
@@ -479,7 +475,9 @@ let member_rollup t member =
     else Error ()
 
 let member_bucket t member b =
-  match exchange t member (Protocol.digest_request ~bucket:b ()) with
+  match
+    exchange t member (Sink.to_string (Protocol.digest_request ~bucket:b ()))
+  with
   | Error _ -> Error ()
   | Ok resp ->
     if Protocol.is_ok resp then
@@ -521,7 +519,10 @@ let repair_bucket t ~tick a b bucket =
               d.Fsck.holders
         in
         if targets <> [] then begin
-          match exchange t d.Fsck.authority (Protocol.pull_request [ d.Fsck.key ]) with
+          match
+            exchange t d.Fsck.authority
+              (Sink.to_string (Protocol.pull_request [ d.Fsck.key ]))
+          with
           | Error _ -> ()
           | Ok resp -> (
             match Protocol.entries_of resp with

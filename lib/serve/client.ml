@@ -103,12 +103,12 @@ let connection_ended t =
     | _ -> false)
   | exception Unix.Unix_error _ -> true
 
-let request_once t j =
+let raw_request t line =
   match t.state with
   | `Closed | `Broken -> Error Closed
   | `Live -> (
     match
-      output_string t.oc (Sink.to_string j);
+      output_string t.oc line;
       output_char t.oc '\n';
       flush t.oc;
       input_line t.ic
@@ -122,14 +122,21 @@ let request_once t j =
     | exception Sys_blocked_io ->
       mark_broken t;
       Error (Io "read timed out")
-    | line -> (
-      match Sink.of_string line with
-      | Ok j -> Ok j
-      | Error e ->
-        let torn = connection_ended t in
-        mark_broken t;
-        if torn then Error (Io (Printf.sprintf "torn response (%s)" e))
-        else Error (Malformed e)))
+    | response -> Ok response)
+
+let request_line t line =
+  match raw_request t line with
+  | Error _ as e -> e
+  | Ok response -> (
+    match Sink.of_string response with
+    | Ok j -> Ok j
+    | Error e ->
+      let torn = connection_ended t in
+      mark_broken t;
+      if torn then Error (Io (Printf.sprintf "torn response (%s)" e))
+      else Error (Malformed e))
+
+let request_once t j = request_line t (Sink.to_string j)
 
 let reconnect t =
   match t.addr with
@@ -196,27 +203,6 @@ let request ?retry t j =
       | Error _ -> result
     in
     go 0
-
-let raw_request t line =
-  match t.state with
-  | `Closed | `Broken -> Error Closed
-  | `Live -> (
-    match
-      output_string t.oc line;
-      output_char t.oc '\n';
-      flush t.oc;
-      input_line t.ic
-    with
-    | exception End_of_file ->
-      mark_broken t;
-      Error (Io "connection closed by server")
-    | exception Sys_error e ->
-      mark_broken t;
-      Error (Io e)
-    | exception Sys_blocked_io ->
-      mark_broken t;
-      Error (Io "read timed out")
-    | response -> Ok response)
 
 let close t =
   match t.state with

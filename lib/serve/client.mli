@@ -96,6 +96,13 @@ val request :
     outcome is returned, so a final [overloaded] response surfaces as
     such). *)
 
+val request_line : t -> string -> (Bi_engine.Sink.json, failure) result
+(** One attempt of {!request} for a request already rendered as a line:
+    the bytes are sent verbatim (a router forwards a client's line this
+    way) and the response is parsed and classified exactly as
+    {!request} does — a torn line is {!failure.Io}, a garbled line on a
+    live connection {!failure.Malformed}. *)
+
 val raw_request : t -> string -> (string, failure) result
 (** Sends a raw line (no JSON validation — the fuzz and soak harnesses
     use this to probe with garbage) and returns the raw response line.

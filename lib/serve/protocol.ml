@@ -25,7 +25,7 @@ and put_value =
 type request = { query : query; deadline_ms : int option }
 
 let default_k = 4
-let max_k = 32
+let max_k = Bi_constructions.Registry.max_k
 
 let parse_deadline j =
   match Sink.member "deadline_ms" j with

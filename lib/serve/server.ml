@@ -286,14 +286,16 @@ let handle_query t ~budget ~chaos_delay_ms query =
     handle_concepted t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept
       (fun () -> Ok (Bncs.make graph ~prior))
   | Protocol.Construction { name; k; mode; concept } -> (
-    match Registry.build name k with
+    (* The fingerprint comes from the construction table; the game is
+       built only if a solver needs it (a miss, or [auto] counting its
+       profiles). *)
+    match Fingerprint.of_construction name k with
     | Error e ->
       Metrics.error t.metrics;
       (Protocol.error e, `Continue)
-    | Ok game ->
-      let fingerprint = Fingerprint.of_game game in
+    | Ok fingerprint ->
       handle_concepted t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept
-        (fun () -> Ok game))
+        (fun () -> Registry.build name k))
   (* [put] and [health] are cluster-control verbs: like [stats] they are
      never shed and never queue behind solver work, so replication and
      liveness probing keep working on a saturated shard. *)

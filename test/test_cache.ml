@@ -158,6 +158,26 @@ let test_fingerprint_distinguishes () =
   Alcotest.(check bool) "kind matters" true (fp <> fingerprint_of kind_changed);
   Alcotest.(check bool) "prior matters" true (fp <> fingerprint_of prior_changed)
 
+(* The construction table answers exactly what building and
+   fingerprinting would, builder errors included, for every registered
+   name (and an unknown one) at every k of the memoised range and just
+   past it; the second lookup is served from the table. *)
+let test_construction_table () =
+  let module Registry = Bi_constructions.Registry in
+  List.iter
+    (fun name ->
+      for k = 1 to Registry.max_k + 1 do
+        let label = Printf.sprintf "%s k=%d" name k in
+        let expected = Result.map Fingerprint.of_game (Registry.build name k) in
+        Alcotest.(check (result string string))
+          label expected
+          (Fingerprint.of_construction name k);
+        Alcotest.(check (result string string))
+          (label ^ " again") expected
+          (Fingerprint.of_construction name k)
+      done)
+    ("no-such-family" :: Registry.names)
+
 (* --- codec round-trips ----------------------------------------------- *)
 
 let prop_rat_roundtrip =
@@ -611,6 +631,8 @@ let () =
             test_corpus_no_collisions;
           Alcotest.test_case "semantic changes change the fingerprint" `Quick
             test_fingerprint_distinguishes;
+          Alcotest.test_case "construction table = build + fingerprint" `Quick
+            test_construction_table;
         ] );
       ( "codec",
         [

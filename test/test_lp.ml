@@ -5,8 +5,9 @@
    duality gap of an optimum is exactly zero; Bland's rule terminates on
    the classic cycling instance and on randomly degenerate systems;
    infeasibility and unboundedness round-trip through their Farkas/ray
-   certificates; and tampering with any certificate coordinate is
-   rejected. *)
+   certificates; tampering with any certificate coordinate is
+   rejected; and the crash basis reaches the optimum an all-artificial
+   start reaches. *)
 
 open Bayesian_ignorance
 open Num
@@ -245,6 +246,37 @@ let prop_tampered_objective_rejected =
         <> Ok ()
       | _ -> false)
 
+(* The crash basis starts a row on its slack instead of its artificial.
+   Scaling every slack column by 2 keeps the feasible set (up to the
+   slack values) but leaves no slack for the crash to use, so the two
+   programs reach the same optimum from different starting bases. *)
+let prop_crash_agrees =
+  QCheck2.Test.make ~name:"crash basis agrees with the artificial start"
+    ~count:200
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = random_feasible ~nonneg_cost:true seed in
+      let m = Array.length p.Simplex.b in
+      let with_slacks scale =
+        {
+          p with
+          Simplex.a =
+            Array.mapi
+              (fun i row ->
+                Array.append row
+                  (Array.init m (fun k -> if k = i then scale else Rat.zero)))
+              p.Simplex.a;
+          c = Array.append p.Simplex.c (Array.make m Rat.zero);
+        }
+      in
+      let unit = with_slacks Rat.one and scaled = with_slacks Rat.two in
+      match (solve_exn unit, solve_exn scaled) with
+      | Simplex.Optimal u, Simplex.Optimal s ->
+        Simplex.check unit u = Ok ()
+        && Simplex.check scaled s = Ok ()
+        && Rat.equal u.Simplex.objective s.Simplex.objective
+      | _ -> false)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -252,6 +284,7 @@ let qtests =
       prop_outcomes_verify;
       prop_infeasible_round_trip;
       prop_tampered_objective_rejected;
+      prop_crash_agrees;
     ]
 
 let () =

@@ -856,6 +856,79 @@ let test_sighup_reload_race () =
       ignore (request_ok c Protocol.shutdown_request);
       Client.close c)
 
+(* The router forwards a client's line as the bytes it received: a
+   member that records its input sees extra whitespace, field order and
+   escapes exactly as the client sent them, for both analysis verbs.
+   It answers probes (so it stays Up) and everything else with an
+   error, which the router hands back as-is. *)
+let test_router_forwards_verbatim () =
+  let dir = Filename.temp_file "bi_router" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let member_sock = Filename.concat dir "recorder.sock" in
+  let recorded = ref [] and lock = Mutex.create () in
+  let ls = Bi_serve.Lineserver.create (Bi_serve.Lineserver.Unix_socket member_sock) in
+  let handler oc line =
+    Mutex.lock lock;
+    recorded := line :: !recorded;
+    Mutex.unlock lock;
+    let response, disposition =
+      match Protocol.parse_request line with
+      | Ok { Protocol.query = Protocol.Health; _ } ->
+        ( Protocol.ok_health ~shard:"recorder" ~inflight:0 ~cache:(Sink.Obj []),
+          `Continue )
+      | Ok { Protocol.query = Protocol.Shutdown; _ } -> (Protocol.ok_shutdown, `Stop)
+      | _ -> (Protocol.error "recorded", `Continue)
+    in
+    output_string oc (Sink.to_string response);
+    output_char oc '\n';
+    flush oc;
+    disposition
+  in
+  let th_member =
+    with_ready_thread (fun ~on_ready -> Bi_serve.Lineserver.run ~on_ready ~handler ls)
+  in
+  let router_sock = Filename.concat dir "router.sock" in
+  let th_router =
+    with_ready_thread (fun ~on_ready ->
+        Router.run ~on_ready ~members:[ member_sock ]
+          (Bi_serve.Lineserver.Unix_socket router_sock))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_endpoint member_sock;
+      Thread.join th_member)
+    (fun () ->
+      let lines =
+        [
+          {|  { "k" : 3 ,"op":"construction",   "name" : "gworst-bliss" }	|};
+          {|{"op" : "analyze", "game": {"kind":"directed","n":2,|}
+          ^ {|"edges":[[0, 1, "2/4"]],"prior":[{"types":[[0,1]],"weight":"1"}]},|}
+          ^ {| "mode":"\u0063ertified"}  |};
+        ]
+      in
+      let c = Client.connect_unix router_sock in
+      List.iter
+        (fun line ->
+          match Client.raw_request c line with
+          | Error f -> Alcotest.fail (Client.failure_to_string f)
+          | Ok response ->
+            Alcotest.(check string) "member's answer returned as-is"
+              (Sink.to_string (Protocol.error "recorded")) response)
+        lines;
+      Client.close c;
+      Mutex.lock lock;
+      let seen = !recorded in
+      Mutex.unlock lock;
+      List.iter
+        (fun line ->
+          Alcotest.(check bool)
+            (Printf.sprintf "member received %S verbatim" line)
+            true (List.mem line seen))
+        lines)
+
 let () =
   Alcotest.run "bi_router"
     [
@@ -900,5 +973,7 @@ let () =
             `Quick test_recovery_drains_hints;
           Alcotest.test_case "SIGHUP reload races probes and repair" `Quick
             test_sighup_reload_race;
+          Alcotest.test_case "forwards the received line verbatim" `Quick
+            test_router_forwards_verbatim;
         ] );
     ]
