@@ -41,10 +41,18 @@ let frt_test =
   Test.make ~name:"FRT tree on 4x4 grid"
     (Staged.stage (fun () -> ignore (Embed.Frt.sample rng g)))
 
+(* Kernels of a few hundred ns or less are too little work per run for
+   a trustworthy OLS fit (the single divmod fit r² 0.61, the three small
+   compares r² -0.90), so each run repeats them; the [xN] in the names
+   keeps trajectory tooling from comparing them with the unbatched
+   series. *)
 let bigint_test =
   let a = Bigint.factorial 60 and b = Bigint.factorial 40 in
-  Test.make ~name:"bigint divmod 60!/40!"
-    (Staged.stage (fun () -> ignore (Bigint.divmod a b)))
+  Test.make ~name:"bigint divmod 60!/40! x64"
+    (Staged.stage (fun () ->
+         for _ = 1 to 64 do
+           ignore (Sys.opaque_identity (Bigint.divmod a b))
+         done))
 
 (* Arithmetic kernels: the solvers spend their inner loops in Rat.add and
    Rat.compare on tiny values (per-edge shared costs), with occasional
@@ -69,11 +77,13 @@ let rat_add_large_test =
 let rat_cmp_small_test =
   let x = Rat.of_ints 355 113 and y = Rat.of_ints 22 7 in
   let u = Rat.of_ints 5 6 and v = Rat.of_ints 13 15 in
-  Test.make ~name:"rat compare, small operands"
+  Test.make ~name:"rat compare, small operands x256"
     (Staged.stage (fun () ->
-         ignore (Rat.compare x y);
-         ignore (Rat.compare u v);
-         ignore (Rat.compare x u)))
+         let acc = ref 0 in
+         for _ = 1 to 256 do
+           acc := !acc + Rat.compare x y + Rat.compare u v + Rat.compare x u
+         done;
+         ignore (Sys.opaque_identity !acc)))
 
 (* A single fixed comparison is too little work per run: the ~0.25 µs
    signal drowns in loop and clock overhead and the OLS fit collapses
@@ -123,7 +133,8 @@ let profile_cost_test =
    simplex — rescale the pivot row, then eliminate the pivot column from
    the other 23 rows via the fused Rat.sub_mul — on a 24-row basis
    inverse of small rationals, the regime the correlated LPs live in.
-   The update mutates in place, so each run works on a fresh copy. *)
+   The update mutates in place, so each pivot works on a fresh copy;
+   each run does eight of them (one fit r² 0.74). *)
 let pivot_binv =
   Array.init 24 (fun i ->
       Array.init 24 (fun j -> Rat.of_ints (((i * 5) + (j * 3)) mod 11 - 5) (j + 2)))
@@ -132,11 +143,13 @@ let pivot_xb = Array.init 24 (fun i -> Rat.of_ints (i + 1) 3)
 let pivot_column = Array.init 24 (fun i -> Rat.of_ints ((2 * i) + 1) 5)
 
 let simplex_pivot_test =
-  Test.make ~name:"simplex pivot, 24 rows"
+  Test.make ~name:"simplex pivot, 24 rows x8"
     (Staged.stage (fun () ->
-         let binv = Array.map Array.copy pivot_binv in
-         let xb = Array.copy pivot_xb in
-         Lp.Simplex.pivot ~binv ~xb ~column:pivot_column ~row:11))
+         for _ = 1 to 8 do
+           let binv = Array.map Array.copy pivot_binv in
+           let xb = Array.copy pivot_xb in
+           Lp.Simplex.pivot ~binv ~xb ~column:pivot_column ~row:11
+         done))
 
 (* Cache-service kernels: the canonical fingerprint (serialize + hash a
    game description) and a service hit (mutex + LRU lookup + recency

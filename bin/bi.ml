@@ -981,7 +981,12 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
   in
   (* Fresh keys the victim owns: written through the router while the
      victim is dead, they land on the other owner and park a hint —
-     real divergence for fsck to catch and the healing paths to close. *)
+     real divergence for fsck to catch and the healing paths to close.
+     Only families that solve in milliseconds at k 2-8 are drawn (the
+     others run for seconds to minutes at k 3).  Which keys the victim
+     owns depends on the ports; with three shards, k 2-8 leaves at
+     least three of them for every base port the soak can pick.  Keys
+     it owns as primary come first. *)
   let fresh_keys =
     let candidates =
       List.concat_map
@@ -997,12 +1002,11 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
                   if List.mem victim_member owners then
                     Some (name, k, fp, List.hd owners = victim_member)
                   else None)
-            [ 2; 3 ])
-        Constructions.Registry.names
+            (List.init 7 (fun i -> i + 2)))
+        [ "anshelevich"; "gworst-bliss"; "gworst-curse" ]
     in
-    let primaries = List.filter (fun (_, _, _, p) -> p) candidates in
-    let pool = if primaries <> [] then primaries else candidates in
-    List.filteri (fun i _ -> i < 3) pool
+    let primaries, others = List.partition (fun (_, _, _, p) -> p) candidates in
+    List.filteri (fun i _ -> i < 3) (primaries @ others)
     |> List.map (fun (n, k, fp, _) -> (n, k, fp))
   in
   Printf.eprintf "cluster: %d shards in %s, ports %d-%d%s\n%!" shards dir

@@ -193,22 +193,28 @@ let game_of_json j =
     | Ok v -> error "n must be an integer, got %s" (Sink.to_string v)
     | Error e -> Error e
   in
-  let* edges =
+  (* The edges are decoded straight into the graph's store; the graph
+     checks them once the whole description has decoded, so a malformed
+     field anywhere still wins over an invalid edge. *)
+  let* src, dst, costs =
     match field "edges" j with
     | Ok (Sink.List es) ->
-      let edge = function
-        | Sink.List [ Sink.Int s; Sink.Int d; c ] ->
-          let* c = rat_of_json c in
-          Ok (s, d, c)
-        | v -> error "edge must be [src, dst, cost], got %s" (Sink.to_string v)
+      let m = List.length es in
+      let src = Array.make m 0 and dst = Array.make m 0 in
+      let costs = Array.make m Rat.zero in
+      let rec go id = function
+        | [] -> Ok (src, dst, costs)
+        | Sink.List [ Sink.Int s; Sink.Int d; c ] :: rest -> (
+          match rat_of_json c with
+          | Ok c ->
+            src.(id) <- s;
+            dst.(id) <- d;
+            costs.(id) <- c;
+            go (id + 1) rest
+          | Error e -> Error e)
+        | v :: _ -> error "edge must be [src, dst, cost], got %s" (Sink.to_string v)
       in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest ->
-          let* e = edge e in
-          go (e :: acc) rest
-      in
-      go [] es
+      go 0 es
     | Ok v -> error "edges must be a list, got %s" (Sink.to_string v)
     | Error e -> Error e
   in
@@ -246,7 +252,7 @@ let game_of_json j =
     | Ok v -> error "prior must be a list, got %s" (Sink.to_string v)
     | Error e -> Error e
   in
-  match (Graph.make kind ~n edges, Dist.make entries) with
+  match (Graph.of_arrays kind ~n ~src ~dst ~costs, Dist.make entries) with
   | graph, prior -> Ok (graph, prior)
   | exception Invalid_argument msg -> error "invalid game description: %s" msg
   | exception Division_by_zero -> Error "invalid game description: zero denominator"

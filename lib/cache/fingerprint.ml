@@ -3,67 +3,98 @@ module Graph = Bi_graph.Graph
 module Dist = Bi_prob.Dist
 module Registry = Bi_constructions.Registry
 
-(* Decimal digits of [v <= 0]'s magnitude; negated so that [min_int]
-   needs no special case. *)
-let rec add_digits buf v =
-  if v <> 0 then begin
-    add_digits buf (v / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 - (v mod 10)))
+(* The canonical bytes are written in place into one growable buffer:
+   digits go straight to their final position, and {!game} hashes the
+   bytes without first copying them into a string. *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
+let reserve o k =
+  if o.len + k > Bytes.length o.bytes then begin
+    let bytes = Bytes.create (max (2 * Bytes.length o.bytes) (o.len + k)) in
+    Bytes.blit o.bytes 0 bytes 0 o.len;
+    o.bytes <- bytes
   end
 
-(* [string_of_int i], written straight into [buf]: [string_of_int] goes
-   through the C format machinery and allocates a string. *)
-let add_int buf i =
-  if i = 0 then Buffer.add_char buf '0'
-  else if i < 0 then begin
-    Buffer.add_char buf '-';
-    add_digits buf i
-  end
-  else add_digits buf (-i)
+let add_char o c =
+  reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
 
-let add_bigint buf b =
+let add_string o s =
+  let k = String.length s in
+  reserve o k;
+  Bytes.unsafe_blit_string s 0 o.bytes o.len k;
+  o.len <- o.len + k
+
+(* Writes the bytes of [string_of_int i] at [pos] of [b], which has
+   room for them (at most 20), and returns the position after them.
+   The digits of [-|i|] (never overflows, so [min_int] needs no special
+   case) are counted, then written last to first. *)
+let put_int b pos i =
+  let v = if i < 0 then i else -i in
+  let rec count v k = if v > -10 then k else count (v / 10) (k + 1) in
+  let digits = count v 1 in
+  let pos =
+    if i < 0 then begin
+      Bytes.unsafe_set b pos '-';
+      pos + 1
+    end
+    else pos
+  in
+  let v = ref v in
+  for p = pos + digits - 1 downto pos do
+    Bytes.unsafe_set b p (Char.unsafe_chr (48 - (!v mod 10)));
+    v := !v / 10
+  done;
+  pos + digits
+
+let add_int o i =
+  reserve o 20;
+  o.len <- put_int o.bytes o.len i
+
+let add_bigint o b =
   match Bigint.to_int_opt b with
-  | Some i -> add_int buf i
-  | None -> Buffer.add_string buf (Bigint.to_string b)
+  | Some i -> add_int o i
+  | None -> add_string o (Bigint.to_string b)
 
 (* The bytes of [Rat.to_string r]. *)
-let add_rat buf r =
-  add_bigint buf (Rat.num r);
+let add_rat o r =
+  add_bigint o (Rat.num r);
   if not (Bigint.equal (Rat.den r) Bigint.one) then begin
-    Buffer.add_char buf '/';
-    add_bigint buf (Rat.den r)
+    add_char o '/';
+    add_bigint o (Rat.den r)
   end
 
-(* [ids] stably sorted by [key.(id)], a value in [[0, n)]: an LSD
-   radix sort over the bits of [n - 1], at most 8 bits (256 buckets, a
-   minor-heap array) per counting pass.  Small games take one pass with
-   as few buckets as they have vertices; the cost never follows the
-   size of [n] itself. *)
-let radix_sort n key ids =
-  let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1) in
-  let bits = max 1 (bit_length (max 0 (n - 1))) in
-  let width = min 8 bits in
-  let buckets = 1 lsl width in
-  let pass ids shift =
-    let digit id = (key.(id) lsr shift) land (buckets - 1) in
-    let start = Array.make buckets 0 in
-    Array.iter (fun id -> start.(digit id) <- start.(digit id) + 1) ids;
+(* The ids of [from] stably sorted by [key.(id)], a value below [1 lsl
+   bits]: an LSD radix sort, [width] bits (at most 8: 256 buckets in
+   [start], a minor-heap array) per counting pass, that moves the ids
+   between [from] and [into] (of the same length) and returns whichever
+   of the two holds the result.  Small games take one pass with as few
+   buckets as they have vertices; the cost never follows the size of
+   the vertex count itself. *)
+let rec radix_sort key ~bits ~width ~shift start from into =
+  if shift >= bits then from
+  else begin
+    let mask = (1 lsl width) - 1 in
+    Array.fill start 0 (mask + 1) 0;
+    for i = 0 to Array.length from - 1 do
+      let d = (key.(from.(i)) lsr shift) land mask in
+      start.(d) <- start.(d) + 1
+    done;
     let total = ref 0 in
-    for d = 0 to buckets - 1 do
+    for d = 0 to mask do
       let count = start.(d) in
       start.(d) <- !total;
       total := !total + count
     done;
-    let out = Array.make (Array.length ids) 0 in
-    Array.iter
-      (fun id ->
-        out.(start.(digit id)) <- id;
-        start.(digit id) <- start.(digit id) + 1)
-      ids;
-    out
-  in
-  let rec go ids shift = if shift >= bits then ids else go (pass ids shift) (shift + width) in
-  go ids 0
+    for i = 0 to Array.length from - 1 do
+      let id = from.(i) in
+      let d = (key.(id) lsr shift) land mask in
+      into.(start.(d)) <- id;
+      start.(d) <- start.(d) + 1
+    done;
+    radix_sort key ~bits ~width ~shift:(shift + width) start into from
+  end
 
 (* Canonicalization invariants, in order of appearance:
    - the header pins the description-format version and the graph kind;
@@ -77,31 +108,44 @@ let radix_sort n key ids =
    - prior support entries are sorted by their rendered pair profiles
      ([Dist.make] has already merged duplicates and normalized weights
      to sum to one, erasing both insertion order and weight scaling).
-   [Rat.compare] runs only between parallel edges. *)
-let description graph ~prior =
+   Everything is read from the graph's edge store, so fingerprinting
+   never derives its edge records or adjacency; [Rat.compare] runs only
+   between parallel edges. *)
+let render graph ~prior =
   let directed = Graph.is_directed graph in
   let n = Graph.n_vertices graph and m = Graph.n_edges graph in
-  let buf = Buffer.create (64 + (24 * m)) in
-  Buffer.add_string buf "bi-ncs-v1 ";
-  Buffer.add_string buf (if directed then "directed " else "undirected ");
-  add_int buf n;
-  Buffer.add_char buf '\n';
+  let o = { bytes = Bytes.create (64 + (24 * m)); len = 0 } in
+  add_string o (if directed then "bi-ncs-v1 directed " else "bi-ncs-v1 undirected ");
+  add_int o n;
+  add_char o '\n';
   let src = Array.make m 0 and dst = Array.make m 0 in
   for id = 0 to m - 1 do
-    let e = Graph.edge graph id in
-    let swap = (not directed) && e.Graph.src > e.Graph.dst in
-    src.(id) <- (if swap then e.Graph.dst else e.Graph.src);
-    dst.(id) <- (if swap then e.Graph.src else e.Graph.dst)
+    let s = Graph.edge_src graph id and d = Graph.edge_dst graph id in
+    let swap = (not directed) && s > d in
+    src.(id) <- (if swap then d else s);
+    dst.(id) <- (if swap then s else d)
   done;
   (* A radix sort on the integer key [src * n + dst] (sorted by [dst],
      then stably by [src], so the key is never formed and cannot
      overflow); then each run of parallel edges is ordered by cost. *)
-  let order = radix_sort n src (radix_sort n dst (Array.init m Fun.id)) in
-  let parallel a b = src.(a) = src.(b) && dst.(a) = dst.(b) in
+  let rec bit_length v = if v = 0 then 0 else 1 + bit_length (v lsr 1) in
+  let bits = max 1 (bit_length (max 0 (n - 1))) in
+  let width = min 8 bits in
+  let start = Array.make (1 lsl width) 0 in
+  let ids = Array.make m 0 and spare = Array.make m 0 in
+  for id = 0 to m - 1 do
+    ids.(id) <- id
+  done;
+  let by_dst = radix_sort dst ~bits ~width ~shift:0 start ids spare in
+  let order =
+    radix_sort src ~bits ~width ~shift:0 start by_dst
+      (if by_dst == ids then spare else ids)
+  in
   let i = ref 0 in
   while !i < m do
+    let a = order.(!i) in
     let j = ref (!i + 1) in
-    while !j < m && parallel order.(!i) order.(!j) do
+    while !j < m && src.(order.(!j)) = src.(a) && dst.(order.(!j)) = dst.(a) do
       incr j
     done;
     if !j - !i > 1 then begin
@@ -113,44 +157,56 @@ let description graph ~prior =
     end;
     i := !j
   done;
-  Array.iter
-    (fun id ->
-      Buffer.add_string buf "e ";
-      add_int buf src.(id);
-      Buffer.add_char buf ' ';
-      add_int buf dst.(id);
-      Buffer.add_char buf ' ';
-      add_rat buf (Graph.cost graph id);
-      Buffer.add_char buf '\n')
-    order;
-  let profile = Buffer.create 32 in
+  for i = 0 to m - 1 do
+    let id = order.(i) in
+    (* "e <src> <dst> ": one reservation for the whole prefix *)
+    reserve o 44;
+    let b = o.bytes in
+    Bytes.unsafe_set b o.len 'e';
+    Bytes.unsafe_set b (o.len + 1) ' ';
+    let p = put_int b (o.len + 2) src.(id) in
+    Bytes.unsafe_set b p ' ';
+    let p = put_int b (p + 1) dst.(id) in
+    Bytes.unsafe_set b p ' ';
+    o.len <- p + 1;
+    add_rat o (Graph.cost graph id);
+    add_char o '\n'
+  done;
+  let profile = { bytes = Bytes.create 32; len = 0 } in
   let entries =
     List.map
       (fun (pairs, w) ->
-        Buffer.clear profile;
+        profile.len <- 0;
         Array.iteri
           (fun i (x, y) ->
-            if i > 0 then Buffer.add_char profile ' ';
+            if i > 0 then add_char profile ' ';
             add_int profile x;
-            Buffer.add_char profile ':';
+            add_char profile ':';
             add_int profile y)
           pairs;
-        (Buffer.contents profile, w))
+        (Bytes.sub_string profile.bytes 0 profile.len, w))
       (Dist.to_list prior)
   in
   let entries = List.sort (fun (p1, _) (p2, _) -> String.compare p1 p2) entries in
   List.iter
     (fun (profile, w) ->
-      Buffer.add_string buf "t ";
-      Buffer.add_string buf profile;
-      Buffer.add_string buf " w ";
-      add_rat buf w;
-      Buffer.add_char buf '\n')
+      add_string o "t ";
+      add_string o profile;
+      add_string o " w ";
+      add_rat o w;
+      add_char o '\n')
     entries;
-  Buffer.contents buf
+  o
+
+let description graph ~prior =
+  let o = render graph ~prior in
+  Bytes.sub_string o.bytes 0 o.len
 
 let digest_hex s = Digest.to_hex (Digest.string s)
-let game graph ~prior = digest_hex (description graph ~prior)
+
+let game graph ~prior =
+  let o = render graph ~prior in
+  Digest.to_hex (Digest.subbytes o.bytes 0 o.len)
 
 let of_game g =
   game (Bi_ncs.Bayesian_ncs.graph g) ~prior:(Bi_ncs.Bayesian_ncs.prior g)

@@ -6,8 +6,10 @@ let x_vertex = 0
 let z_vertex = 1
 let y_vertex i = 1 + i
 
+let check_k k = if k < 2 then invalid_arg "Anshelevich_game.graph: need k >= 2"
+
 let graph k eps =
-  if k < 2 then invalid_arg "Anshelevich_game.graph: need k >= 2";
+  check_k k;
   let direct =
     List.init (k - 1) (fun j ->
         let i = j + 1 in
@@ -21,7 +23,9 @@ let graph k eps =
 
 let default_eps k = Rat.of_ints 1 (2 * k * k)
 
+(* [k] is checked before [default_eps] divides by [2k^2]. *)
 let game ?eps k =
+  check_k k;
   let eps = match eps with Some e -> e | None -> default_eps k in
   let g = graph k eps in
   let fixed = Array.init (k - 1) (fun j -> (x_vertex, y_vertex (j + 1))) in

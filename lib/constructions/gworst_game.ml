@@ -29,7 +29,6 @@ let bliss_eps k = Rat.of_ints 5 (4 * k)
 let curse_eps k = Rat.sub (Rat.of_ints 2 k) (Rat.of_ints 1 (2 * k * k))
 
 let make_game ?directed k eps presence =
-  if k < 2 then invalid_arg "Gworst_game: need k >= 2";
   let g = graph ?directed k eps in
   let fixed = Array.make k (u_vertex, w_vertex) in
   let with_last last = Array.append fixed [| last |] in
@@ -39,8 +38,16 @@ let make_game ?directed k eps presence =
          (with_last (u_vertex, v_vertex))
          (with_last (u_vertex, u_vertex)))
 
-let bliss_game ?directed k = make_game ?directed k (bliss_eps k) (Rat.of_ints 1 2)
-let curse_game ?directed k = make_game ?directed k (curse_eps k) (Rat.of_ints 1 k)
+(* [k] is checked before the epsilons and the presence divide by it. *)
+let check_k k = if k < 2 then invalid_arg "Gworst_game: need k >= 2"
+
+let bliss_game ?directed k =
+  check_k k;
+  make_game ?directed k (bliss_eps k) (Rat.of_ints 1 2)
+
+let curse_game ?directed k =
+  check_k k;
+  make_game ?directed k (curse_eps k) (Rat.of_ints 1 k)
 
 let predicted_bliss_worst_eq_p k =
   Rat.add (Rat.add Rat.one (bliss_eps k)) (Rat.of_ints 1 2)

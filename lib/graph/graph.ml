@@ -11,47 +11,104 @@ type edge = {
   cost : Rat.t;
 }
 
+(* The edges are stored flat, indexed by id: all that validation, the
+   canonical fingerprint and edge-by-id lookups read.  The edge records
+   and the adjacency lists that traversals read are derived from the
+   store on first use and published through an [Atomic]: domains that
+   race on a first use each derive the same immutable value, and either
+   copy may stay.  (A [Lazy.t] would raise in a domain that forces it
+   while another domain is still forcing it.) *)
 type t = {
   kind : kind;
   n : int;
-  edge_arr : edge array;
-  adj : (edge * int) list array; (* (edge, endpoint reached) *)
+  srcs : int array;
+  dsts : int array;
+  costs : Rat.t array;
+  records : edge array option Atomic.t;
+  adj : (edge * int) list array option Atomic.t; (* (edge, endpoint reached) *)
 }
 
-let make kind ~n edge_specs =
+let of_arrays kind ~n ~src ~dst ~costs =
   if n < 0 then invalid_arg "Graph.make: negative vertex count";
-  let check v = if v < 0 || v >= n then invalid_arg "Graph.make: vertex out of range" in
-  let edge_arr =
-    Array.of_list
-      (List.mapi
-         (fun id (src, dst, cost) ->
-           check src;
-           check dst;
-           if Stdlib.( < ) (Rat.sign cost) 0 then
-             invalid_arg "Graph.make: negative edge cost";
-           { id; src; dst; cost })
-         edge_specs)
-  in
-  let adj = Array.make n [] in
-  Array.iter
-    (fun e ->
-      adj.(e.src) <- (e, e.dst) :: adj.(e.src);
-      if kind = Undirected && e.src <> e.dst then adj.(e.dst) <- (e, e.src) :: adj.(e.dst))
-    edge_arr;
-  Array.iteri (fun v l -> adj.(v) <- List.rev l) adj;
-  { kind; n; edge_arr; adj }
+  let m = Array.length src in
+  if Array.length dst <> m || Array.length costs <> m then
+    invalid_arg "Graph.of_arrays: arrays of different lengths";
+  for id = 0 to m - 1 do
+    let s = src.(id) and d = dst.(id) in
+    if s < 0 || s >= n || d < 0 || d >= n then
+      invalid_arg "Graph.make: vertex out of range";
+    if Stdlib.( < ) (Rat.sign costs.(id)) 0 then
+      invalid_arg "Graph.make: negative edge cost"
+  done;
+  { kind; n; srcs = src; dsts = dst; costs; records = Atomic.make None;
+    adj = Atomic.make None }
+
+let make kind ~n edge_specs =
+  let m = List.length edge_specs in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let costs = Array.make m Rat.zero in
+  List.iteri
+    (fun id (s, d, c) ->
+      src.(id) <- s;
+      dst.(id) <- d;
+      costs.(id) <- c)
+    edge_specs;
+  of_arrays kind ~n ~src ~dst ~costs
+
+(* Filler for the record array.  A module-level value is old after the
+   first minor collection, so [Array.make] of a large array does not
+   force one to promote its filler, as it does for a young value. *)
+let placeholder = { id = -1; src = 0; dst = 0; cost = Rat.zero }
+
+let derive_records g =
+  let records = Array.make (Array.length g.srcs) placeholder in
+  for id = 0 to Array.length records - 1 do
+    records.(id) <- { id; src = g.srcs.(id); dst = g.dsts.(id); cost = g.costs.(id) }
+  done;
+  Atomic.set g.records (Some records);
+  records
+
+let records g =
+  match Atomic.get g.records with Some r -> r | None -> derive_records g
+
+(* Lists in id order: built back to front, so no list is reversed. *)
+let derive_adjacency g =
+  let records = records g in
+  let adj = Array.make g.n [] in
+  for id = Array.length records - 1 downto 0 do
+    let e = records.(id) in
+    adj.(e.src) <- (e, e.dst) :: adj.(e.src);
+    if g.kind = Undirected && e.src <> e.dst then adj.(e.dst) <- (e, e.src) :: adj.(e.dst)
+  done;
+  Atomic.set g.adj (Some adj);
+  adj
+
+let adjacency g = match Atomic.get g.adj with Some a -> a | None -> derive_adjacency g
 
 let kind g = g.kind
 let is_directed g = g.kind = Directed
 let n_vertices g = g.n
-let n_edges g = Array.length g.edge_arr
-let edges g = Array.to_list g.edge_arr
+let n_edges g = Array.length g.srcs
+let edges g = Array.to_list (records g)
+
+let check_id g id =
+  if id < 0 || id >= Array.length g.srcs then invalid_arg "Graph.edge: bad id"
 
 let edge g id =
-  if id < 0 || id >= Array.length g.edge_arr then invalid_arg "Graph.edge: bad id";
-  g.edge_arr.(id)
+  check_id g id;
+  (records g).(id)
 
-let cost g id = (edge g id).cost
+let edge_src g id =
+  check_id g id;
+  g.srcs.(id)
+
+let edge_dst g id =
+  check_id g id;
+  g.dsts.(id)
+
+let cost g id =
+  check_id g id;
+  g.costs.(id)
 
 let total_cost g ids =
   let ids = List.sort_uniq Stdlib.compare ids in
@@ -59,7 +116,7 @@ let total_cost g ids =
 
 let succ g v =
   if v < 0 || v >= g.n then invalid_arg "Graph.succ: vertex out of range";
-  g.adj.(v)
+  (adjacency g).(v)
 
 let other_endpoint _g e v =
   if e.src = v then e.dst
@@ -74,6 +131,7 @@ let dijkstra g s =
   let settled = Array.make g.n false in
   let cmp (d1, _) (d2, _) = Extended.compare d1 d2 in
   let heap = Bi_ds.Heap.create ~cmp in
+  let adj = adjacency g in
   dist.(s) <- Extended.zero;
   Bi_ds.Heap.push heap (Extended.zero, s);
   let rec loop () =
@@ -90,7 +148,7 @@ let dijkstra g s =
               pred.(w) <- Some e.id;
               Bi_ds.Heap.push heap (d', w)
             end)
-          g.adj.(v)
+          adj.(v)
       end;
       loop ()
   in
@@ -106,13 +164,14 @@ let shortest_path g u v =
   match dist.(v) with
   | Extended.Inf -> None
   | Extended.Fin _ ->
+    let records = records g in
     let rec walk v acc =
       if v = u then acc
       else
         match pred.(v) with
         | None -> acc (* v = u is the only vertex without a predecessor among reached ones *)
         | Some id ->
-          let e = g.edge_arr.(id) in
+          let e = records.(id) in
           let prev = if e.dst = v then e.src else e.dst in
           walk prev (id :: acc)
     in
@@ -134,7 +193,7 @@ let bellman_ford g s =
         in
         try_relax e.src e.dst;
         if g.kind = Undirected then try_relax e.dst e.src)
-      g.edge_arr;
+      (records g);
     !changed
   in
   let rec go i = if i < g.n && relax () then go (i + 1) in
@@ -169,7 +228,8 @@ let path_endpoints g ids =
 let reachable g ~via u v =
   if u = v then true
   else begin
-    let allowed = Array.make (Array.length g.edge_arr) false in
+    let allowed = Array.make (n_edges g) false in
+    let adj = adjacency g in
     List.iter
       (fun id -> if id >= 0 && id < Array.length allowed then allowed.(id) <- true)
       via;
@@ -178,7 +238,7 @@ let reachable g ~via u v =
       if x = v then true
       else begin
         visited.(x) <- true;
-        List.exists (fun (e, w) -> allowed.(e.id) && (not visited.(w)) && dfs w) g.adj.(x)
+        List.exists (fun (e, w) -> allowed.(e.id) && (not visited.(w)) && dfs w) adj.(x)
       end
     in
     dfs u
@@ -188,7 +248,7 @@ let is_path_between g ids u v = reachable g ~via:ids u v
 
 let connected_components g =
   let uf = Bi_ds.Union_find.create g.n in
-  Array.iter (fun e -> ignore (Bi_ds.Union_find.union uf e.src e.dst)) g.edge_arr;
+  Array.iter (fun e -> ignore (Bi_ds.Union_find.union uf e.src e.dst)) (records g);
   let buckets = Hashtbl.create 16 in
   for v = g.n - 1 downto 0 do
     let root = Bi_ds.Union_find.find uf v in
@@ -201,7 +261,7 @@ let connected_components g =
 let minimum_spanning_tree g =
   if g.kind = Directed then invalid_arg "Graph.minimum_spanning_tree: directed graph";
   let sorted =
-    List.sort (fun e1 e2 -> Rat.compare e1.cost e2.cost) (Array.to_list g.edge_arr)
+    List.sort (fun e1 e2 -> Rat.compare e1.cost e2.cost) (edges g)
   in
   let uf = Bi_ds.Union_find.create g.n in
   let chosen =
@@ -213,11 +273,11 @@ let minimum_spanning_tree g =
 let pp fmt g =
   Format.fprintf fmt "@[<v>%s graph: %d vertices, %d edges@,"
     (match g.kind with Directed -> "directed" | Undirected -> "undirected")
-    g.n (Array.length g.edge_arr);
+    g.n (n_edges g);
   Array.iter
     (fun e ->
       Format.fprintf fmt "  e%d: %d %s %d (cost %a)@," e.id e.src
         (match g.kind with Directed -> "->" | Undirected -> "--")
         e.dst Rat.pp e.cost)
-    g.edge_arr;
+    (records g);
   Format.fprintf fmt "@]"

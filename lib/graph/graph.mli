@@ -6,7 +6,14 @@
     A graph is immutable once built.
 
     Undirected graphs store each edge once; traversal sees it in both
-    directions.  Directed graphs traverse [src -> dst] only. *)
+    directions.  Directed graphs traverse [src -> dst] only.
+
+    Building a graph validates and stores its edges, nothing more: the
+    edge records ({!edges}, {!edge}) and the adjacency lists that
+    traversals read ({!succ}, shortest paths, {!reachable}) are derived
+    on first use, once per graph, and are safe to derive from several
+    domains at once.  So a graph that is only fingerprinted or looked up
+    by edge id never pays for them. *)
 
 open Bi_num
 
@@ -24,8 +31,18 @@ type edge = private {
 type t
 
 val make : kind -> n:int -> (int * int * Rat.t) list -> t
-(** [make kind ~n edges] builds a graph on vertices [0..n-1].
-    @raise Invalid_argument on out-of-range endpoints or negative costs. *)
+(** [make kind ~n edges] builds a graph on vertices [0..n-1]; edge ids
+    follow list order.
+    @raise Invalid_argument on a negative [n], then on the first edge
+    with an out-of-range endpoint or a negative cost. *)
+
+val of_arrays :
+  kind -> n:int -> src:int array -> dst:int array -> costs:Rat.t array -> t
+(** [of_arrays kind ~n ~src ~dst ~costs] is [make kind ~n] of the edges
+    [(src.(i), dst.(i), costs.(i))] in index order, with the same checks
+    and messages.  The arrays become the graph's store without a copy,
+    so the caller must not modify them afterwards.
+    @raise Invalid_argument also when the lengths differ. *)
 
 val kind : t -> kind
 val is_directed : t -> bool
@@ -35,8 +52,13 @@ val edges : t -> edge list
 val edge : t -> int -> edge
 (** Edge by id. @raise Invalid_argument on bad id. *)
 
+val edge_src : t -> int -> int
+val edge_dst : t -> int -> int
+
 val cost : t -> int -> Rat.t
-(** Cost of edge id. *)
+(** Endpoints and cost of an edge id, read from the store: unlike
+    {!edge}, these never derive the edge records.
+    @raise Invalid_argument on bad id. *)
 
 val total_cost : t -> int list -> Rat.t
 (** Sum of costs of the given edge ids (duplicates counted once). *)

@@ -161,12 +161,24 @@ let test_fingerprint_distinguishes () =
 (* The construction table answers exactly what building and
    fingerprinting would, builder errors included, for every registered
    name (and an unknown one) at every k of the memoised range and just
-   past it; the second lookup is served from the table. *)
+   past it on both sides; the second lookup is served from the table.
+   Below the range the builders refuse with a structured error: no
+   family divides by a zero or negative k. *)
 let test_construction_table () =
   let module Registry = Bi_constructions.Registry in
   List.iter
     (fun name ->
-      for k = 1 to Registry.max_k + 1 do
+      List.iter
+        (fun k ->
+          match Registry.build name k with
+          | Ok _ when name = "diamond" && k = 0 -> ()
+          | Ok _ -> Alcotest.failf "%s k=%d must be refused" name k
+          | Error _ -> ())
+        [ 0; -1 ])
+    Registry.names;
+  List.iter
+    (fun name ->
+      for k = -1 to Registry.max_k + 1 do
         let label = Printf.sprintf "%s k=%d" name k in
         let expected = Result.map Fingerprint.of_game (Registry.build name k) in
         Alcotest.(check (result string string))

@@ -373,6 +373,51 @@ let test_sink_concurrent_emit () =
     (domains * lines_per_domain) !count;
   Sys.remove path
 
+(* A graph derives its edge records and adjacency lists on first use
+   (lib/graph).  Four domains released together make the first use of
+   each of a batch of fresh graphs, half of them reaching the records
+   through [succ] and half directly: nothing raises, and every domain
+   sees what a graph built afterwards shows sequentially. *)
+let graph_view ~succ_first g =
+  if succ_first then ignore (Graph.succ g 0) else ignore (Graph.edges g);
+  let n = Graph.n_vertices g and all = List.init (Graph.n_edges g) Fun.id in
+  ( List.map
+      (fun (e : Graph.edge) -> (e.id, e.src, e.dst, Rat.to_string e.cost))
+      (Graph.edges g),
+    List.init n (fun v ->
+        List.map (fun ((e : Graph.edge), w) -> (e.id, w)) (Graph.succ g v)),
+    Array.to_list (Array.map Extended.to_string (fst (Graph.dijkstra g 0))),
+    List.init n (fun v -> Graph.reachable g ~via:all 0 v) )
+
+let test_graph_first_use_races () =
+  let rounds = 200 and domains = 4 in
+  let fresh i =
+    Bi_graph.Gen.random_graph
+      (Random.State.make [| i |])
+      ~kind:(if i mod 2 = 0 then Graph.Directed else Graph.Undirected)
+      ~n:(20 + (i mod 30)) ~p:0.3 ~max_cost:9
+  in
+  let graphs = Array.init rounds fresh in
+  let ready = Atomic.make 0 in
+  let views =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            Array.map (graph_view ~succ_first:(d mod 2 = 1)) graphs))
+    |> List.map Domain.join
+  in
+  let expected = Array.init rounds (fun i -> graph_view ~succ_first:false (fresh i)) in
+  List.iteri
+    (fun d view ->
+      Array.iteri
+        (fun i v ->
+          if v <> expected.(i) then Alcotest.failf "domain %d, graph %d differs" d i)
+        view)
+    views
+
 (* Jobs counts are validated on arrival, both on the command line and in
    BI_JOBS: a count the pool cannot honor is a structured error, never a
    silent clamp to one worker. *)
@@ -442,5 +487,10 @@ let () =
           Alcotest.test_case "nested and empty ranges" `Quick
             test_pool_nested_and_empty;
           Alcotest.test_case "jobs validation" `Quick test_parse_jobs;
+        ] );
+      ( "graph-store",
+        [
+          Alcotest.test_case "first use from four domains at once" `Quick
+            test_graph_first_use_races;
         ] );
     ]

@@ -265,6 +265,208 @@ let test_diamond () =
     (fun e -> Alcotest.check rat "edge scale" (rr 1 8) e.Graph.cost)
     (Graph.edges g3)
 
+(* --- Store vs eager reference --- *)
+
+(* The graph as it was before its edges were stored flat: [make]
+   builds the edge records and the adjacency lists at once.  Kept
+   verbatim as the oracle for the structures the store derives on first
+   use. *)
+module Eager = struct
+  type edge = { id : int; src : int; dst : int; cost : Rat.t }
+
+  type t = {
+    kind : Graph.kind;
+    n : int;
+    edge_arr : edge array;
+    adj : (edge * int) list array;
+  }
+
+  let make kind ~n edge_specs =
+    if n < 0 then invalid_arg "Graph.make: negative vertex count";
+    let check v = if v < 0 || v >= n then invalid_arg "Graph.make: vertex out of range" in
+    let edge_arr =
+      Array.of_list
+        (List.mapi
+           (fun id (src, dst, cost) ->
+             check src;
+             check dst;
+             if Stdlib.( < ) (Rat.sign cost) 0 then
+               invalid_arg "Graph.make: negative edge cost";
+             { id; src; dst; cost })
+           edge_specs)
+    in
+    let adj = Array.make n [] in
+    Array.iter
+      (fun e ->
+        adj.(e.src) <- (e, e.dst) :: adj.(e.src);
+        if kind = Graph.Undirected && e.src <> e.dst then
+          adj.(e.dst) <- (e, e.src) :: adj.(e.dst))
+      edge_arr;
+    Array.iteri (fun v l -> adj.(v) <- List.rev l) adj;
+    { kind; n; edge_arr; adj }
+
+  let succ g v = g.adj.(v)
+
+  let dijkstra g s =
+    let dist = Array.make g.n Extended.Inf in
+    let pred = Array.make g.n None in
+    let settled = Array.make g.n false in
+    let cmp (d1, _) (d2, _) = Extended.compare d1 d2 in
+    let heap = Bi_ds.Heap.create ~cmp in
+    dist.(s) <- Extended.zero;
+    Bi_ds.Heap.push heap (Extended.zero, s);
+    let rec loop () =
+      match Bi_ds.Heap.pop_min heap with
+      | None -> ()
+      | Some (d, v) ->
+        if not settled.(v) && Extended.equal d dist.(v) then begin
+          settled.(v) <- true;
+          List.iter
+            (fun (e, w) ->
+              let d' = Extended.add d (Extended.of_rat e.cost) in
+              if Extended.( < ) d' dist.(w) then begin
+                dist.(w) <- d';
+                pred.(w) <- Some e.id;
+                Bi_ds.Heap.push heap (d', w)
+              end)
+            g.adj.(v)
+        end;
+        loop ()
+    in
+    loop ();
+    (dist, pred)
+
+  let reachable g ~via u v =
+    if u = v then true
+    else begin
+      let allowed = Array.make (Array.length g.edge_arr) false in
+      List.iter
+        (fun id -> if id >= 0 && id < Array.length allowed then allowed.(id) <- true)
+        via;
+      let visited = Array.make g.n false in
+      let rec dfs x =
+        if x = v then true
+        else begin
+          visited.(x) <- true;
+          List.exists (fun (e, w) -> allowed.(e.id) && (not visited.(w)) && dfs w) g.adj.(x)
+        end
+      in
+      dfs u
+    end
+end
+
+let edge_tuple (e : Graph.edge) = (e.id, e.src, e.dst, Rat.to_string e.cost)
+let eager_tuple (e : Eager.edge) = (e.id, e.src, e.dst, Rat.to_string e.cost)
+
+(* Everything the store derives, in a comparable form: the edge
+   records, every vertex's successor list, the Dijkstra result from
+   every source, and reachability between every pair over [via]. *)
+let derived_view ~edges ~succ ~dijkstra ~reachable ~n ~via =
+  let dist_pred s =
+    let dist, pred = dijkstra s in
+    (Array.to_list (Array.map Extended.to_string dist), Array.to_list pred)
+  in
+  ( edges,
+    List.init n succ,
+    List.init n dist_pred,
+    List.init n (fun u -> List.init n (fun v -> reachable ~via u v)) )
+
+let store_view g ~via =
+  let n = Graph.n_vertices g in
+  derived_view ~n ~via
+    ~edges:(List.map edge_tuple (Graph.edges g))
+    ~succ:(fun v -> List.map (fun (e, w) -> (edge_tuple e, w)) (Graph.succ g v))
+    ~dijkstra:(Graph.dijkstra g) ~reachable:(Graph.reachable g)
+
+let eager_view (g : Eager.t) ~via =
+  derived_view ~n:g.n ~via
+    ~edges:(List.map eager_tuple (Array.to_list g.edge_arr))
+    ~succ:(fun v -> List.map (fun (e, w) -> (eager_tuple e, w)) (Eager.succ g v))
+    ~dijkstra:(Eager.dijkstra g) ~reachable:(Eager.reachable g)
+
+(* Random multigraphs on 0-6 vertices: self-loops and parallel edges
+   (both orientations) come up often on so few vertices, and every
+   fourth edge list gets three extra copies of its first edge. *)
+let gen_multigraph =
+  QCheck2.Gen.(
+    let* n = int_range 0 6 in
+    let* kind = oneofl [ Graph.Directed; Graph.Undirected ] in
+    let* edges =
+      if n = 0 then pure []
+      else
+        list_size (int_range 0 14)
+          (triple (int_bound (n - 1)) (int_bound (n - 1))
+             (map2 Rat.of_ints (int_range 0 9) (int_range 1 3)))
+    in
+    let* copies = bool in
+    let edges =
+      match edges with
+      | (s, d, c) :: _ when copies -> edges @ [ (s, d, c); (d, s, c); (s, d, Rat.add c Rat.one) ]
+      | _ -> edges
+    in
+    let* via = list_size (int_range 0 12) (int_range (-1) (List.length edges)) in
+    return (kind, n, edges, via))
+
+let print_multigraph (kind, n, edges, via) =
+  Printf.sprintf "%s n=%d edges=[%s] via=[%s]"
+    (match kind with Graph.Directed -> "directed" | Graph.Undirected -> "undirected")
+    n
+    (String.concat "; "
+       (List.map (fun (s, d, c) -> Printf.sprintf "%d,%d,%s" s d (Rat.to_string c)) edges))
+    (String.concat "; " (List.map string_of_int via))
+
+let prop_store_matches_eager =
+  QCheck2.Test.make ~name:"derived edges/succ/dijkstra/reachable = eager reference"
+    ~count:500 ~print:print_multigraph gen_multigraph
+    (fun (kind, n, edges, via) ->
+      store_view (Graph.make kind ~n edges) ~via
+      = eager_view (Eager.make kind ~n edges) ~via)
+
+(* Invalid descriptions: the same exception (message included) as the
+   eager reference, so the first failing edge still wins. *)
+let gen_maybe_invalid =
+  QCheck2.Gen.(
+    let* n = int_range (-2) 4 in
+    let* edges =
+      list_size (int_range 0 6)
+        (triple (int_range (-1) 4) (int_range (-1) 4) (map Rat.of_int (int_range (-2) 5)))
+    in
+    return (n, edges))
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Invalid_argument msg -> "Invalid_argument " ^ msg
+
+let prop_validation_matches_eager =
+  QCheck2.Test.make ~name:"make rejects what the eager reference rejects" ~count:1000
+    ~print:(fun (n, edges) -> print_multigraph (Graph.Directed, n, edges, []))
+    gen_maybe_invalid
+    (fun (n, edges) ->
+      List.for_all
+        (fun kind ->
+          outcome (fun () -> ignore (Graph.make kind ~n edges))
+          = outcome (fun () -> ignore (Eager.make kind ~n edges)))
+        [ Graph.Directed; Graph.Undirected ])
+
+let test_of_arrays () =
+  let g =
+    Graph.of_arrays Undirected ~n:3 ~src:[| 2; 0 |] ~dst:[| 1; 0 |]
+      ~costs:[| r 4; rr 1 2 |]
+  in
+  Alcotest.(check (list (pair int int))) "endpoints by id" [ (2, 1); (0, 0) ]
+    [ (Graph.edge_src g 0, Graph.edge_dst g 0); (Graph.edge_src g 1, Graph.edge_dst g 1) ];
+  Alcotest.check rat "cost by id" (rr 1 2) (Graph.cost g 1);
+  Alcotest.(check (list (pair int int))) "successors of 1" [ (0, 2) ]
+    (List.map (fun (e, w) -> (e.Graph.id, w)) (Graph.succ g 1));
+  Alcotest.check_raises "bad id" (Invalid_argument "Graph.edge: bad id") (fun () ->
+      ignore (Graph.edge_src g 2));
+  Alcotest.check_raises "lengths" (Invalid_argument "Graph.of_arrays: arrays of different lengths")
+    (fun () -> ignore (Graph.of_arrays Directed ~n:3 ~src:[| 0 |] ~dst:[||] ~costs:[| r 1 |]));
+  Alcotest.check_raises "checks as make" (Invalid_argument "Graph.make: vertex out of range")
+    (fun () ->
+      ignore (Graph.of_arrays Directed ~n:3 ~src:[| 0; 3 |] ~dst:[| 1; 0 |] ~costs:[| r 1; r (-1) |]))
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -272,6 +474,8 @@ let qtests =
       prop_shortest_path_cost_matches_distance;
       prop_mst_beats_random_spanning_sets;
       prop_steiner_sandwich;
+      prop_store_matches_eager;
+      prop_validation_matches_eager;
     ]
 
 let () =
@@ -282,6 +486,7 @@ let () =
           Alcotest.test_case "make & accessors" `Quick test_construction;
           Alcotest.test_case "orientation" `Quick test_succ_orientation;
           Alcotest.test_case "multigraph" `Quick test_multigraph;
+          Alcotest.test_case "flat store" `Quick test_of_arrays;
         ] );
       ( "shortest_paths",
         [

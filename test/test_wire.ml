@@ -10,7 +10,9 @@
      parser it replaced (kept verbatim below), on random JSON values,
      their byte mutations and truncations, and hand-picked edge cases —
      same [Ok] value or the same [Error] string, byte for byte.
-   - [Codec.rat_of_string] against its Bigint-only reference. *)
+   - [Codec.rat_of_string] against its Bigint-only reference.
+   - Invalid inline games: the wire errors pinned byte for byte, and
+     the parser's edge decoding against [Graph.make] on any edge list. *)
 
 open Bi_num
 module Sink = Bi_engine.Sink
@@ -678,6 +680,106 @@ let rat_law =
   QCheck2.Test.make ~name:"rat_of_string = Bigint reference" ~count:3000
     ~print:(Printf.sprintf "%S") gen_rat_text same_rat
 
+(* --- invalid inline games ------------------------------------------------
+
+   The edges of an inline game are decoded straight into the graph's
+   store and checked once the whole description has decoded.  The wire
+   error of an invalid game must not move by a byte: a malformed field
+   anywhere still wins over an invalid edge, [Dist.make] still wins over
+   [Graph.make], and among invalid edges the first one wins. *)
+
+module Protocol = Bi_serve.Protocol
+
+let wire_response line =
+  match Protocol.parse_request line with
+  | Ok _ -> "ok"
+  | Error e -> Sink.to_string (Protocol.error e)
+
+let analyze_line ?(kind = "directed") ?(n = "3")
+    ?(prior = {|[{"types":[[0,1]],"weight":"1"}]|}) edges =
+  Printf.sprintf
+    {|{"op":"analyze","game":{"kind":"%s","n":%s,"edges":[%s],"prior":%s}}|}
+    kind n edges prior
+
+let wire_error msg = Printf.sprintf {|{"ok":false,"code":"error","error":"analyze: %s"}|} msg
+let graph_error msg = wire_error ("invalid game description: Graph.make: " ^ msg)
+
+let test_invalid_game_errors () =
+  List.iter
+    (fun (label, line, expected) ->
+      Alcotest.(check string) label expected (wire_response line))
+    [
+      ( "out-of-range vertex", analyze_line {|[0,5,"1"]|}, graph_error "vertex out of range" );
+      ( "negative vertex",
+        analyze_line ~kind:"undirected" {|[-1,0,"1"]|},
+        graph_error "vertex out of range" );
+      ("negative cost", analyze_line {|[0,1,"-1/2"]|}, graph_error "negative edge cost");
+      ("negative n", analyze_line ~n:"-1" "", graph_error "negative vertex count");
+      ( "negative n before any edge",
+        analyze_line ~n:"-1" {|[0,5,"-1"]|},
+        graph_error "negative vertex count" );
+      ( "bad edge after a good one",
+        analyze_line {|[0,1,"1"],[1,7,"2"],[0,1,"-1"]|},
+        graph_error "vertex out of range" );
+      ( "first bad edge wins",
+        analyze_line {|[0,1,"1"],[0,1,"-1"],[1,7,"2"]|},
+        graph_error "negative edge cost" );
+      ( "malformed edge wins over an invalid one",
+        analyze_line {|[0,9,"1"],[0,1]|},
+        wire_error "edge must be [src, dst, cost], got [0,1]" );
+      ( "malformed prior wins over an invalid edge",
+        analyze_line ~prior:{|[{"types":[[0]],"weight":"1"}]|} {|[0,9,"1"]|},
+        wire_error "type must be [source, destination], got [0]" );
+      ( "invalid prior wins over an invalid edge",
+        analyze_line ~prior:{|[{"types":[[0,1]],"weight":"-1"}]|} {|[0,9,"1"]|},
+        wire_error "invalid game description: Dist.make: negative weight" );
+      ( "zero denominator",
+        analyze_line {|[0,1,"1/0"]|},
+        wire_error {|invalid rational \"1/0\" (zero denominator)|} );
+      ( "bad rational after a good edge",
+        analyze_line {|[0,1,"1"],[0,9,"x"]|},
+        wire_error {|invalid rational \"x\"|} );
+    ]
+
+(* Any edge list, valid or not: the store-decoding parser answers
+   exactly as [Graph.make] on the same edges — the same fingerprint, or
+   the same error. *)
+let gen_edge_list =
+  QCheck2.Gen.(
+    pair (int_range (-1) 5)
+      (list_size (int_range 0 8)
+         (triple (int_range (-1) 5) (int_range (-1) 5) (int_range (-2) 9))))
+
+let codec_law =
+  QCheck2.Test.make ~name:"store decode = Graph.make on any edge list" ~count:1000
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d [%s]" n
+        (String.concat "; " (List.map (fun (s, d, c) -> Printf.sprintf "%d,%d,%d" s d c) edges)))
+    gen_edge_list
+    (fun (n, edges) ->
+      let line =
+        analyze_line ~n:(string_of_int n) ~prior:{|[{"types":[[0,0]],"weight":"1"}]|}
+          (String.concat ","
+             (List.map (fun (s, d, c) -> Printf.sprintf {|[%d,%d,"%d"]|} s d c) edges))
+      in
+      let prior = Dist.make [ ([| (0, 0) |], Rat.one) ] in
+      let expected =
+        match
+          Graph.make Graph.Directed ~n (List.map (fun (s, d, c) -> (s, d, Rat.of_int c)) edges)
+        with
+        | graph -> Ok (Fingerprint.game graph ~prior)
+        | exception Invalid_argument msg -> Error ("analyze: invalid game description: " ^ msg)
+      in
+      let actual =
+        Result.map
+          (function
+            | { Protocol.query = Protocol.Analyze { graph; prior; _ }; _ } ->
+              Fingerprint.game graph ~prior
+            | _ -> "not an analyze query")
+          (Protocol.parse_request line)
+      in
+      expected = actual)
+
 let () =
   Alcotest.run "bi_wire"
     [
@@ -694,4 +796,9 @@ let () =
              test_parser_pinned_values
         :: List.map QCheck_alcotest.to_alcotest parser_laws );
       ("rat-codec", [ QCheck_alcotest.to_alcotest rat_law ]);
+      ( "invalid-games",
+        [
+          Alcotest.test_case "wire errors pinned" `Quick test_invalid_game_errors;
+          QCheck_alcotest.to_alcotest codec_law;
+        ] );
     ]
