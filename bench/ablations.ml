@@ -4,9 +4,7 @@
       globally-informed agent closes (the local-vs-global dial);
    2. branch-and-bound vs exhaustive optP — the solver trade-off that
       lets exact optima reach larger games;
-   3. weighted vs fair cost sharing — footnote 5's variant;
-   4. fictitious-play iterations vs certified bracket width — the
-      Section 4 solver's accuracy dial. *)
+   3. weighted vs fair cost sharing — footnote 5's variant. *)
 
 open Bayesian_ignorance
 open Num
@@ -52,16 +50,19 @@ let branch_and_bound ~pool ~sink =
     List.map
       (fun (name, game) ->
         let (ex, _), t_ex = time (fun () -> Bncs.opt_p_exhaustive ~pool game) in
-        let (bb, _, certified), t_bb =
-          time (fun () -> Bncs.opt_p_branch_and_bound game)
+        let bb, t_bb = time (fun () -> Certify.Bnb.optimum game) in
+        let certified =
+          match bb.Certify.Bnb.certificate with
+          | Some c -> Certify.Bnb.check game c = Ok ()
+          | None -> false
         in
         [
           name;
           Report.ext_cell ex;
           Printf.sprintf "%.3fs" t_ex;
-          Report.ext_cell bb;
+          Report.ext_cell bb.Certify.Bnb.value;
           Printf.sprintf "%.3fs" t_bb;
-          Report.verdict (certified && Extended.equal ex bb);
+          Verdict.cell (certified && Extended.equal ex bb.Certify.Bnb.value);
         ])
       [
         ("anshelevich k=7", Constructions.Anshelevich_game.game 7);
@@ -87,12 +88,12 @@ let weighted ~sink =
   let rows =
     List.map
       (fun (label, weights) ->
-        let g = Weighted.make graph ~pairs ~weights in
+        let g = Weighted.to_strategic (Weighted.make graph ~pairs ~weights) in
         let cell = function Some r -> Report.rat_cell r | None -> "n/a" in
         [
           label;
-          cell (Weighted.price_of_stability g);
-          cell (Weighted.price_of_anarchy g);
+          cell (Games.Anarchy.price_of_stability g);
+          cell (Games.Anarchy.price_of_anarchy g);
         ])
       [
         ("weights 1:1 (fair)", [| Rat.one; Rat.one |]);
@@ -110,39 +111,9 @@ let weighted ~sink =
   print_endline "the weighted variant (footnote 5) changes the equilibrium set.";
   print_endline ""
 
-let fictitious_play () =
-  print_endline "--- Ablation: fictitious-play iterations vs bracket width ---";
-  print_endline "";
-  let phi =
-    Minimax.Section4.make
-      (Array.init 5 (fun i ->
-           Array.init 5 (fun j -> Rat.of_int (1 + (((i * 5) + (j * 2)) mod 7)))))
-  in
-  let rows =
-    List.map
-      (fun iterations ->
-        let sol = Minimax.Section4.r_tilde ~iterations phi in
-        let width =
-          Rat.to_float (Rat.sub sol.Minimax.Matrix_game.upper sol.Minimax.Matrix_game.lower)
-        in
-        [
-          string_of_int iterations;
-          Printf.sprintf "%.5f" (Rat.to_float sol.Minimax.Matrix_game.lower);
-          Printf.sprintf "%.5f" (Rat.to_float sol.Minimax.Matrix_game.upper);
-          Printf.sprintf "%.5f" width;
-        ])
-      [ 100; 400; 1600; 6400 ]
-  in
-  print_endline
-    (Report.table ~header:[ "iterations"; "lower"; "upper"; "width" ] rows);
-  print_endline "";
-  print_endline "The certified bracket narrows roughly like O(1/sqrt(T)).";
-  print_endline ""
-
 let run ~pool ~sink ~cache:_ =
   print_endline "=== Ablations ===";
   print_endline "";
   visibility ();
   branch_and_bound ~pool ~sink;
-  weighted ~sink;
-  fictitious_play ()
+  weighted ~sink

@@ -89,7 +89,7 @@ let crosscheck ~pool ~sink =
           Report.ext_cell c.Measures.opt_c;
           Report.ext_opt_cell c.Measures.best_eq_c;
           Report.ext_opt_cell c.Measures.worst_eq_c;
-          Report.verdict ok;
+          Verdict.cell ok;
         ])
       crosscheck_points
   in

@@ -21,19 +21,19 @@ let check ~pool ~label games =
       Printf.sprintf "Observation 2.2 (%s)" label;
       "optC <= optP <= best-eqP <= worst-eqP";
       Printf.sprintf "%d/%d games" !obs22 total;
-      Report.verdict (!obs22 = total);
+      Verdict.cell (!obs22 = total);
     ];
     [
       Printf.sprintf "Lemma 3.1 (%s)" label;
       "worst-eqP <= k optC";
       Printf.sprintf "%d/%d games" !l31 total;
-      Report.verdict (!l31 = total);
+      Verdict.cell (!l31 = total);
     ];
     [
       Printf.sprintf "Lemma 3.8 (%s)" label;
       "best-eqP <= H(k) optP";
       Printf.sprintf "%d/%d games" !l38 total;
-      Report.verdict (!l38 = total);
+      Verdict.cell (!l38 = total);
     ];
   ]
 

@@ -135,7 +135,7 @@ let crosscheck ~pool ~sink =
           rat_str cce.Corr.worst.Corr.value;
           rat_str cce.Corr.pub_best.Corr.value;
           rat_str cce.Corr.pub_worst.Corr.value;
-          Report.verdict (members_ok && chain_ok && lemma_ok);
+          Verdict.cell (members_ok && chain_ok && lemma_ok);
         ])
       crosscheck_points
   in

@@ -125,13 +125,13 @@ let universal_rows ~label stats =
       "1 <= ratio <= O(k)";
       Printf.sprintf "max %.3f over %d games (k <= %d)" stats.max_opt_ratio
         stats.games stats.max_k;
-      Report.verdict (stats.max_opt_ratio >= 1.0 && stats.max_opt_ratio <= k);
+      Verdict.cell (stats.max_opt_ratio >= 1.0 && stats.max_opt_ratio <= k);
     ];
     [
       Printf.sprintf "%s best-eq universal" label;
       "Omega(1/log k) <= ratio <= O(k)";
       Printf.sprintf "range [%.3f, %.3f]" stats.min_best_ratio stats.max_best_ratio;
-      Report.verdict
+      Verdict.cell
         (stats.max_best_ratio <= k
          && stats.min_best_ratio >= 1.0 /. (1.0 +. (2.0 *. log k)));
     ];
@@ -141,7 +141,7 @@ let universal_rows ~label stats =
       Printf.sprintf "range [%.3f, %.3f], Lemma 3.1 %s" stats.min_worst_ratio
         stats.max_worst_ratio
         (if stats.all_within_k then "holds" else "VIOLATED");
-      Report.verdict
+      Verdict.cell
         (stats.all_within_k
          && stats.max_worst_ratio <= k
          && stats.min_worst_ratio >= 1.0 /. k);
@@ -173,7 +173,7 @@ let affine_row ~pool ~cache () =
     "Omega(k) at n = Theta(k^2)";
     Printf.sprintf "m=2 exhaustive: %.3f (closed form %.3f); growth: %s"
       measured_ratio predicted_2 series;
-    Report.verdict (Float.abs (measured_ratio -. predicted_2) < 1e-9);
+    Verdict.cell (Float.abs (measured_ratio -. predicted_2) < 1e-9);
   ]
 
 (* Directed best-eq existential O(1/log k): Anshelevich game (Lemma 3.3). *)
@@ -196,7 +196,7 @@ let anshelevich_row ~pool ~cache () =
     "directed best-eq existential (L3.3)";
     "worst-eqP/best-eqC = O(1/log k), n = Theta(k)";
     Printf.sprintf "exhaustive k=5: %.3f, k=7: %.3f; decay: %s" e5 e7 closed;
-    Report.verdict
+    Verdict.cell
       (Float.abs (e5 -. p5) < 1e-9 && Float.abs (e7 -. p7) < 1e-9 && e7 < e5);
   ]
 
@@ -217,13 +217,13 @@ let gworst_rows ~pool ~cache ~directed label =
       Printf.sprintf "%s worst-eq existential Omega(k)" label;
       "ratio = Omega(k) at n = O(1)";
       Printf.sprintf "k=3: %.3f, k=5: %.3f, k=7: %.3f" c3 c5 c7;
-      Report.verdict (c3 < c5 && c5 < c7 && c7 > 3.0);
+      Verdict.cell (c3 < c5 && c5 < c7 && c7 > 3.0);
     ];
     [
       Printf.sprintf "%s worst-eq existential O(1/k)" label;
       "ratio = O(1/k) at n = O(1)";
       Printf.sprintf "k=3: %.3f, k=5: %.3f, k=7: %.3f" b3 b5 b7;
-      Report.verdict (b3 > b5 && b5 > b7 && b7 < 0.5);
+      Verdict.cell (b3 > b5 && b5 > b7 && b7 < 0.5);
     ];
   ]
 
@@ -330,7 +330,7 @@ let frt_row ~pool ~cache () =
     "optP <= O(log n) optC via random tree strategies";
     Printf.sprintf "max E_tree[K]/optC = %.3f over %d instances (n <= 12)" worst
       (List.length results);
-    Report.verdict (bound && results <> []);
+    Verdict.cell (bound && results <> []);
   ]
 
 (* Undirected optP/optC = Omega(log n): the diamond game (Lemma 3.5). *)
@@ -341,13 +341,17 @@ let diamond_row ~pool ~cache () =
     match m.Measures.opt_p with Extended.Fin r -> fl r | Extended.Inf -> nan
   in
   (* Level 2 is beyond exhaustion but within branch-and-bound reach; the
-     bounded search result is cached under fingerprint/bnb:budget. *)
+     bounded search result is cached under fingerprint/bnb:budget, and
+     counts as certified only once Bnb.check has replayed its tree. *)
   let exact2, certified2 =
     let _, game = Constructions.Diamond_game.game 2 in
     let budget = 3_000_000 in
     let compute () =
-      let v, _, certified = Bncs.opt_p_branch_and_bound ~node_budget:budget game in
-      (v, certified)
+      let o = Certify.Bnb.optimum ~node_budget:budget game in
+      ( o.Certify.Bnb.value,
+        match o.Certify.Bnb.certificate with
+        | Some c -> Certify.Bnb.check game c = Ok ()
+        | None -> false )
     in
     let encode (v, certified) =
       Sink.Obj [ ("value", Cache.Codec.ext_to_json v); ("certified", Bool certified) ]
@@ -383,7 +387,7 @@ let diamond_row ~pool ~cache () =
       exact1 exact2
       (if certified2 then ", certified" else ", budget hit")
       o0 o1 o2 o3;
-    Report.verdict
+    Verdict.cell
       (Float.abs (exact1 -. 1.25) < 1e-9
        && exact2 > exact1 +. 0.2
        && o1 > o0 +. 0.2 && o2 > o1 +. 0.2 && o3 > o2 +. 0.2);
@@ -412,7 +416,7 @@ let undirected_best_eq_row ~pool ~cache () =
     "undirected best-eq existential";
     "Omega(log n) and, separately, < 1 at n = O(1)";
     Printf.sprintf "diamond level 1: %.3f; bliss game k=5: %.3f" diamond bliss;
-    Report.verdict (diamond > 1.0 && bliss < 1.0);
+    Verdict.cell (diamond > 1.0 && bliss < 1.0);
   ]
 
 let run ~pool ~sink ~cache =

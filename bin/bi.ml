@@ -303,7 +303,7 @@ let adversary levels samples seed =
     algorithms;
   0
 
-let sec4 name k iterations =
+let sec4 name k =
   let game = build_or_exit name k in
   let phi =
     try Minimax.Section4.of_bayesian_ncs game with
@@ -314,17 +314,23 @@ let sec4 name k iterations =
   Printf.printf "phi: %d strategy profiles x %d type profiles\n"
     (Minimax.Section4.n_strategies phi)
     (Minimax.Section4.n_type_profiles phi);
-  let sol = Minimax.Section4.r_tilde ~iterations phi in
-  Printf.printf "R~(phi) in [%s, %s]\n"
-    (Rat.to_string sol.Minimax.Matrix_game.lower)
-    (Rat.to_string sol.Minimax.Matrix_game.upper);
-  let q = sol.Minimax.Matrix_game.row_strategy in
-  Printf.printf "public-randomness guarantee: %s\n"
-    (Rat.to_string (Minimax.Section4.randomized_guarantee phi q));
-  let lo, hi = Minimax.Section4.r_star_bracket ~iterations:(iterations / 2) phi in
-  Printf.printf "independent R(phi) bracket: [%s, %s]\n" (Rat.to_string lo)
-    (Rat.to_string hi);
-  0
+  let sol = Minimax.Section4.solve phi in
+  Printf.printf "R~(phi) = R(phi) = %s (%d pivots)\n"
+    (Rat.to_string sol.Minimax.Section4.value)
+    sol.Minimax.Section4.pivots;
+  Printf.printf "public-randomness guarantee of q: %s\n"
+    (Rat.to_string
+       (Minimax.Section4.randomized_guarantee phi sol.Minimax.Section4.mixture));
+  Printf.printf "optP/optC under the worst prior p*: %s\n"
+    (Rat.to_string
+       (Minimax.Section4.ratio_under_prior phi sol.Minimax.Section4.prior));
+  match Minimax.Section4.check phi sol with
+  | Ok () ->
+    print_endline "certificate: checked";
+    0
+  | Error e ->
+    Printf.eprintf "error: certificate rejected: %s\n" e;
+    3
 
 let plane p =
   match Constructions.Affine_plane.make p with
@@ -1476,12 +1482,9 @@ let sec4_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME" ~doc:"Construction name (as in $(b,construction)).")
   in
-  let iterations =
-    Arg.(value & opt int 2000 & info [ "iterations" ] ~docv:"N" ~doc:"Fictitious-play rounds.")
-  in
   Cmd.v
     (Cmd.info "sec4" ~doc:"Public random bits vs the common prior (Section 4)")
-    Term.(const sec4 $ name_arg $ k_arg 3 $ iterations)
+    Term.(const sec4 $ name_arg $ k_arg 3)
 
 let plane_cmd =
   let p =

@@ -2,39 +2,39 @@
 
    Benevolent agents who cannot see the common prior can commit to a
    randomized strategy profile q (shared random bits) and still match
-   the worst-prior optP/optC ratio R(phi).  This example computes q on
-   the two-commuter game and on a "guess the type" game, and verifies
-   the guarantee prior by prior.
+   the worst-prior optP/optC ratio R(phi).  This example solves the
+   certified Section 4 LP on the two-commuter game and on a "guess the
+   type" game: q's worst-prior guarantee equals the ratio a worst prior
+   p* forces, so R(phi) = R~(phi) exactly.
 
    Run with: dune exec examples/public_randomness.exe *)
 
 open Bayesian_ignorance
 open Num
 module S4 = Minimax.Section4
-module Mg = Minimax.Matrix_game
+
+let weights prefix w =
+  String.concat ", "
+    (List.filter_map
+       (fun (i, x) ->
+         if Rat.is_zero x then None
+         else Some (Printf.sprintf "%s%d:%s" prefix i (Rat.to_string x)))
+       (List.mapi (fun i x -> (i, x)) (Array.to_list w)))
 
 let show_phi name phi =
   Format.printf "== %s ==@." name;
   Format.printf "strategy profiles: %d, type profiles: %d@." (S4.n_strategies phi)
     (S4.n_type_profiles phi);
-  let sol = S4.r_tilde ~iterations:4000 phi in
-  Format.printf "R~(phi) bracket: [%s, %s]@."
-    (Rat.to_string sol.Mg.lower)
-    (Rat.to_string sol.Mg.upper);
-  let q = sol.Mg.row_strategy in
-  Format.printf "public-randomness mixture q: %s@."
-    (String.concat ", "
-       (List.filter_map
-          (fun (i, w) ->
-            if Rat.is_zero w then None
-            else Some (Printf.sprintf "s%d:%s" i (Rat.to_string w)))
-          (List.mapi (fun i w -> (i, w)) (Array.to_list q))));
-  Format.printf "worst-prior guarantee of q: %s  (<= upper bound: %s)@."
-    (Rat.to_string (S4.randomized_guarantee phi q))
-    (Rat.to_string sol.Mg.upper);
-  let lo, hi = S4.r_star_bracket ~iterations:2000 ~steps:10 phi in
-  Format.printf "independent R(phi) bracket (Prop 4.2 check): [%s, %s]@.@."
-    (Rat.to_string lo) (Rat.to_string hi)
+  let sol = S4.solve phi in
+  Format.printf "R~(phi) = R(phi) = %s@." (Rat.to_string sol.S4.value);
+  Format.printf "public-randomness mixture q: %s@." (weights "s" sol.S4.mixture);
+  Format.printf "worst-prior guarantee of q: %s@."
+    (Rat.to_string (S4.randomized_guarantee phi sol.S4.mixture));
+  Format.printf "worst prior p*: %s, optP/optC under it: %s@."
+    (weights "t" sol.S4.prior)
+    (Rat.to_string (S4.ratio_under_prior phi sol.S4.prior));
+  Format.printf "certificate (Prop 4.2: R = R~): %s@.@."
+    (match S4.check phi sol with Ok () -> "checked" | Error e -> "REJECTED: " ^ e)
 
 let () =
   (* Guess-the-type: one agent must match an unseen binary type, paying

@@ -40,11 +40,14 @@ let push_front t node =
   (match t.first with Some f -> f.prev <- Some node | None -> t.last <- Some node);
   t.first <- Some node
 
+(* Physical equality on the node itself: comparing [t.first] with a
+   fresh [Some node] would always differ and relink the newest key. *)
 let touch t node =
-  if t.first != Some node then begin
+  match t.first with
+  | Some first when first == node -> ()
+  | _ ->
     unlink t node;
     push_front t node
-  end
 
 let find t key =
   match Hashtbl.find_opt t.tbl key with

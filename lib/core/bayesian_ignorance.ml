@@ -10,13 +10,15 @@
     - {!Num}: exact bigints / rationals / extended rationals.
     - {!Prob}: exact finite distributions (common priors).
     - {!Graphs}: rational-weighted graphs, shortest paths, Steiner DP.
-    - {!Games}: strategic-form and congestion games.
+    - {!Games}: strategic-form cost games and their prices of anarchy
+      and stability.
     - {!Bayes}: Bayesian games and the six ignorance measures.
     - {!Ncs}: network cost-sharing games, complete-information and
       Bayesian.
     - {!Steiner}: online Steiner tree and the diamond adversary.
     - {!Embed}: FRT tree embeddings (Lemma 3.4 machinery).
-    - {!Minimax}: matrix games and Section 4 (public random bits).
+    - {!Minimax}: Section 4 (public random bits) as one certified LP:
+      [R = R~] exactly, with the public-coin mixture and a worst prior.
     - {!Constructions}: the paper's lower-bound game families.
     - {!Engine}: domain-pool executor, deterministic map-reduce, and the
       line-oriented JSON result sink.

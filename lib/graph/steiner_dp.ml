@@ -1,5 +1,46 @@
 open Bi_num
 
+(* [rev.(u)] lists [(v, c)] for every edge [v -> u] of cost [c] (both
+   orientations of an undirected edge), so a Dijkstra over [rev] yields
+   distances {e to} its sources. *)
+let reverse_adjacency g =
+  let rev = Array.make (Graph.n_vertices g) [] in
+  for id = Graph.n_edges g - 1 downto 0 do
+    let s = Graph.edge_src g id and d = Graph.edge_dst g id and c = Graph.cost g id in
+    rev.(d) <- (s, c) :: rev.(d);
+    if (not (Graph.is_directed g)) && s <> d then rev.(s) <- (d, c) :: rev.(s)
+  done;
+  rev
+
+(* Lower [d] in place to [d(v) = min_u (dist(v, u) + d(u))]: one
+   multi-source Dijkstra over the reversed edges, seeded with every
+   finite label.  Labels only ever strictly decrease, so a popped entry
+   that differs from its vertex's label is stale. *)
+let settle rev d =
+  let heap = Bi_ds.Heap.create ~cmp:(fun (a, _) (b, _) -> Rat.compare a b) in
+  Array.iteri
+    (fun v x -> match x with Extended.Fin r -> Bi_ds.Heap.push heap (r, v) | Extended.Inf -> ())
+    d;
+  let rec loop () =
+    match Bi_ds.Heap.pop_min heap with
+    | None -> ()
+    | Some (dv, v) ->
+      (match d.(v) with
+       | Extended.Fin cur when Rat.equal cur dv ->
+         List.iter
+           (fun (w, c) ->
+             let dw = Rat.add dv c in
+             match d.(w) with
+             | Extended.Fin cw when Rat.( <= ) cw dw -> ()
+             | _ ->
+               d.(w) <- Extended.Fin dw;
+               Bi_ds.Heap.push heap (dw, w))
+           rev.(v)
+       | _ -> ());
+      loop ()
+  in
+  loop ()
+
 let steiner_cost g ~root ~terminals =
   let terminals =
     List.sort_uniq Stdlib.compare (List.filter (fun t -> t <> root) terminals)
@@ -10,16 +51,16 @@ let steiner_cost g ~root ~terminals =
   else begin
     let terms = Array.of_list terminals in
     let n = Graph.n_vertices g in
-    (* dist.(v).(u) = shortest-path distance v -> u *)
-    let dist = Graph.all_pairs_distances g in
+    let rev = reverse_adjacency g in
     let full = (1 lsl t) - 1 in
     (* dp.(mask).(v) = minimum cost of a subgraph giving v->terminal
        paths for every terminal in mask. *)
-    let dp = Array.make_matrix (full + 1) n Extended.Inf in
+    let dp = Array.make (full + 1) [||] in
     for i = 0 to t - 1 do
-      for v = 0 to n - 1 do
-        dp.(1 lsl i).(v) <- dist.(v).(terms.(i))
-      done
+      let row = Array.make n Extended.Inf in
+      row.(terms.(i)) <- Extended.zero;
+      settle rev row;
+      dp.(1 lsl i) <- row
     done;
     for mask = 1 to full do
       (* Skip singletons: already initialized. *)
@@ -39,16 +80,9 @@ let steiner_cost g ~root ~terminals =
           sub := (!sub - 1) land mask
         done;
         (* Grow step: attach v to the best merge point via a shortest
-           path.  A Dijkstra over the metric closure would be faster;
-           the O(n^2) relaxation below is simpler and exact. *)
-        for v = 0 to n - 1 do
-          let acc = ref best.(v) in
-          for u = 0 to n - 1 do
-            let c = Extended.add dist.(v).(u) best.(u) in
-            if Extended.( < ) c !acc then acc := c
-          done;
-          dp.(mask).(v) <- !acc
-        done
+           path. *)
+        settle rev best;
+        dp.(mask) <- best
       end
     done;
     dp.(full).(root)

@@ -8,8 +8,11 @@
     destinations.  The same recurrence handles both cases when run over
     one-directional shortest-path distances.
 
-    Complexity is [O(3^t n + 2^t n^2)] for [t] terminals, which is ample
-    for the paper's constructions. *)
+    Each terminal's distance row and each subset's grow step is one
+    Dijkstra over the reversed edges, so for [t] terminals on [n]
+    vertices and [m] edges the time is [O(3^t n + 2^t (n + m) log n)]
+    and the memory [O(2^t n + m)]: no all-pairs table, so a game on a
+    large sparse graph costs what its size says. *)
 
 val steiner_cost : Graph.t -> root:int -> terminals:int list -> Bi_num.Extended.t
 (** Minimum cost of a subgraph containing, for every terminal [t], a

@@ -60,18 +60,19 @@ let opt_of_type t j = t.v.(j)
 let normalized t =
   Array.map (fun row -> Array.mapi (fun j c -> Rat.div c t.v.(j)) row) t.k
 
-let check_prior t p =
-  if Array.length p <> Array.length t.v then
-    invalid_arg "Section4: prior length mismatch";
+(* [w] must be a distribution over [n] outcomes. *)
+let check_distribution what n w =
+  if Array.length w <> n then invalid_arg ("Section4: " ^ what ^ " length mismatch");
   Array.iter
-    (fun w ->
-      if Stdlib.( < ) (Rat.sign w) 0 then invalid_arg "Section4: negative prior weight")
-    p;
-  if not (Rat.equal Rat.one (Rat.sum (Array.to_list p))) then
-    invalid_arg "Section4: prior does not sum to one"
+    (fun x ->
+      if Stdlib.( < ) (Rat.sign x) 0 then
+        invalid_arg ("Section4: negative " ^ what ^ " weight"))
+    w;
+  if not (Rat.equal Rat.one (Rat.sum (Array.to_list w))) then
+    invalid_arg ("Section4: " ^ what ^ " does not sum to one")
 
 let ratio_under_prior t p =
-  check_prior t p;
+  check_distribution "prior" (Array.length t.v) p;
   let dot row =
     let acc = ref Rat.zero in
     Array.iteri (fun j w -> if not (Rat.is_zero w) then acc := Rat.add !acc (Rat.mul w row.(j))) p;
@@ -92,8 +93,7 @@ let ratio_under_prior t p =
   | None -> assert false
 
 let randomized_guarantee t q =
-  if Array.length q <> Array.length t.k then
-    invalid_arg "Section4.randomized_guarantee: mixture length mismatch";
+  check_distribution "mixture" (Array.length t.k) q;
   let worst = ref Rat.zero in
   for j = 0 to Array.length t.v - 1 do
     let acc = ref Rat.zero in
@@ -106,46 +106,73 @@ let randomized_guarantee t q =
   done;
   !worst
 
-let r_tilde ?iterations t =
-  Matrix_game.solve ?iterations (Matrix_game.make (normalized t))
+(* Columns: q_0 .. q_(S-1), then z, then one slack per type profile.
+   Rows: one per type profile, then the mixture's normalization. *)
+let problem t =
+  let s = n_strategies t and m = n_type_profiles t in
+  let n = normalized t in
+  let cols = s + 1 + m in
+  let a =
+    Array.init (m + 1) (fun j ->
+        Array.init cols (fun c ->
+            if j = m then if c < s then Rat.one else Rat.zero
+            else if c < s then n.(c).(j)
+            else if c = s then Rat.neg Rat.one
+            else if c = s + 1 + j then Rat.one
+            else Rat.zero))
+  in
+  let b = Array.init (m + 1) (fun j -> if j = m then Rat.one else Rat.zero) in
+  let c = Array.init cols (fun c -> if c = s then Rat.one else Rat.zero) in
+  { Bi_lp.Simplex.a; b; c }
 
-let r_star_bracket ?iterations ?(steps = 20) t =
-  (* The ratio is always >= 1 (K >= v pointwise) and <= the largest
-     normalized entry. *)
-  let normalized_max =
-    Array.fold_left
-      (fun acc row ->
-        let m = ref acc in
-        Array.iteri (fun j c -> m := Rat.max !m (Rat.div c t.v.(j))) row;
-        !m)
-      Rat.one t.k
+type solution = {
+  value : Rat.t;
+  mixture : Rat.t array;
+  prior : Rat.t array;
+  certificate : Bi_lp.Simplex.certificate;
+  pivots : int;
+}
+
+(* The dual row of type profile [t] carries [-p'_t], the adversary's
+   weight in the normalized game; the prior that weight stands for
+   over the unnormalized costs is [p'_t / v(t)], rescaled to sum to
+   one. *)
+let prior_of_dual t (cert : Bi_lp.Simplex.certificate) =
+  let w = Array.mapi (fun j vj -> Rat.div (Rat.neg cert.y.(j)) vj) t.v in
+  let total = Rat.sum (Array.to_list w) in
+  Array.map (fun x -> Rat.div x total) w
+
+let solve t =
+  match Bi_lp.Simplex.solve (problem t) with
+  | Bi_lp.Simplex.Optimal certificate, { Bi_lp.Simplex.pivots } ->
+    {
+      value = certificate.objective;
+      mixture = Array.sub certificate.x 0 (n_strategies t);
+      prior = prior_of_dual t certificate;
+      certificate;
+      pivots;
+    }
+  | (Bi_lp.Simplex.Infeasible _ | Bi_lp.Simplex.Unbounded _), _ ->
+    (* Any distribution q with z = its worst normalized cost is
+       feasible, and z >= 0 on the feasible set. *)
+    assert false
+
+let check t sol =
+  let equal_arrays u w =
+    Array.length u = Array.length w && Array.for_all2 Rat.equal u w
   in
-  let auxiliary r =
-    (* Game K(s,t) - r * v(t): its value is > 0 iff some prior keeps
-       every strategy profile above ratio r, i.e. iff r < R(phi). *)
-    Matrix_game.solve ?iterations
-      (Matrix_game.make
-         (Array.map
-            (fun row -> Array.mapi (fun j c -> Rat.sub c (Rat.mul r t.v.(j))) row)
-            t.k))
-  in
-  (* The auxiliary value val(r) is strictly decreasing in r with
-     difference quotients in [-max_t v(t), -min_t v(t)] and
-     val(R(phi)) = 0, so a certified value bracket [l, u] at r = mid
-     yields the certified root bracket
-       [mid + min(0, l) / min_v,  mid + max(0, u) / min_v]. *)
-  let min_v = Array.fold_left Rat.min t.v.(0) t.v in
-  let rec go lo hi step =
-    if step = 0 then (lo, hi)
-    else begin
-      let mid = Rat.div_int (Rat.add lo hi) 2 in
-      let sol = auxiliary mid in
-      let l = sol.Matrix_game.lower and u = sol.Matrix_game.upper in
-      let lo' = Rat.max lo (Rat.add mid (Rat.div (Rat.min Rat.zero l) min_v)) in
-      let hi' = Rat.min hi (Rat.add mid (Rat.div (Rat.max Rat.zero u) min_v)) in
-      if Rat.( >= ) lo' hi' then (Rat.min lo' hi', Rat.max lo' hi')
-      else if Rat.equal lo' lo && Rat.equal hi' hi then (lo, hi)
-      else go lo' hi' (step - 1)
-    end
-  in
-  go Rat.one normalized_max steps
+  let cert = sol.certificate in
+  match Bi_lp.Simplex.check (problem t) cert with
+  | Error e -> Error ("LP certificate: " ^ e)
+  | Ok () ->
+    if not (Rat.equal sol.value cert.objective) then
+      Error "value differs from the certified objective"
+    else if not (equal_arrays sol.mixture (Array.sub cert.x 0 (n_strategies t)))
+    then Error "mixture differs from the certified primal"
+    else if not (equal_arrays sol.prior (prior_of_dual t cert)) then
+      Error "prior differs from the certified dual"
+    else if not (Rat.equal (randomized_guarantee t sol.mixture) sol.value) then
+      Error "the mixture's worst-prior guarantee differs from the value"
+    else if not (Rat.equal (ratio_under_prior t sol.prior) sol.value) then
+      Error "the prior's optP/optC ratio differs from the value"
+    else Ok ()

@@ -461,129 +461,6 @@ let opt_p_exhaustive ?pool ?budget g =
   | Some (s, c) -> (c, s)
   | None -> assert false
 
-let opt_p_branch_and_bound ?(node_budget = 5_000_000) g =
-  let support = Array.of_list (Dist.to_list (Bayesian.prior g.game)) in
-  let n_states = Array.length support in
-  let n_edges = Graph.n_edges g.graph in
-  (* Decision variables: one (agent, type) pair per positive-marginal
-     type, ordered by decreasing marginal probability so that heavy
-     states accumulate cost (and trigger pruning) early. *)
-  let variables =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun ti ->
-            let marginal =
-              Rat.sum
-                (List.filter_map
-                   (fun (t, p) -> if t.(i) = ti then Some p else None)
-                   (Array.to_list support))
-            in
-            if Rat.is_zero marginal then None else Some (i, ti, marginal))
-          (Bi_ds.Combinat.range (Array.length g.types.(i))))
-      (Bi_ds.Combinat.range g.players)
-  in
-  let variables =
-    Array.of_list
-      (List.sort (fun (_, _, m1) (_, _, m2) -> Rat.compare m2 m1) variables)
-  in
-  let n_vars = Array.length variables in
-  (* Per-state purchase multiset: count.(state).(edge) buyers so far. *)
-  let count = Array.make_matrix n_states n_edges 0 in
-  let state_cost = Array.make n_states Rat.zero in
-  let bacc = Rat.Acc.create () in
-  let bound () =
-    Rat.Acc.clear bacc;
-    for s = 0 to n_states - 1 do
-      Rat.Acc.add_mul bacc (snd support.(s)) state_cost.(s)
-    done;
-    Rat.Acc.to_rat bacc
-  in
-  let states_of i ti =
-    List.filter
-      (fun s -> (fst support.(s)).(i) = ti)
-      (Bi_ds.Combinat.range n_states)
-  in
-  let add_path states path =
-    List.iter
-      (fun s ->
-        List.iter
-          (fun e ->
-            if count.(s).(e) = 0 then
-              state_cost.(s) <- Rat.add state_cost.(s) (Graph.cost g.graph e);
-            count.(s).(e) <- count.(s).(e) + 1)
-          path)
-      states
-  in
-  let remove_path states path =
-    List.iter
-      (fun s ->
-        List.iter
-          (fun e ->
-            count.(s).(e) <- count.(s).(e) - 1;
-            if count.(s).(e) = 0 then
-              state_cost.(s) <- Rat.sub state_cost.(s) (Graph.cost g.graph e))
-          path)
-      states
-  in
-  (* Seed the incumbent with benevolent descent. *)
-  let incumbent_profile = ref (Bayesian.benevolent_descent g.game (shortest_path_profile g)) in
-  let incumbent = ref (social_cost g !incumbent_profile) in
-  let assignment = Array.init g.players (fun i -> Array.make (Array.length g.types.(i)) 0) in
-  (* Types outside the support keep an arbitrary valid action. *)
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun ti _ ->
-          match g.valid.(i).(ti) with
-          | a :: _ -> row.(ti) <- a
-          | [] -> ())
-        row)
-    assignment;
-  let nodes = ref 0 in
-  let exhausted = ref true in
-  let rec dfs v =
-    if !nodes > node_budget then exhausted := false
-    else begin
-      incr nodes;
-      if v >= n_vars then begin
-        let value = Extended.of_rat (bound ()) in
-        if Extended.( < ) value !incumbent then begin
-          incumbent := value;
-          incumbent_profile := Array.map Array.copy assignment
-        end
-      end
-      else begin
-        let i, ti, _ = variables.(v) in
-        let states = states_of i ti in
-        (* Try cheap-looking actions first: sort by immediate increase. *)
-        let scored =
-          List.map
-            (fun ai ->
-              let path = g.actions.(i).(ai) in
-              add_path states path;
-              let b = bound () in
-              remove_path states path;
-              (ai, b))
-            g.valid.(i).(ti)
-        in
-        let scored = List.sort (fun (_, b1) (_, b2) -> Rat.compare b1 b2) scored in
-        List.iter
-          (fun (ai, b) ->
-            if Extended.( < ) (Extended.of_rat b) !incumbent then begin
-              let path = g.actions.(i).(ai) in
-              add_path states path;
-              assignment.(i).(ti) <- ai;
-              dfs (v + 1);
-              remove_path states path
-            end)
-          scored
-      end
-    end
-  in
-  dfs 0;
-  (!incumbent, !incumbent_profile, !exhausted)
-
 (* Equilibrium scoring against a shard-owned load matrix: one fill per
    profile serves the predicate (delta deviations) and the social cost
    (loaded-edge sums).  Profiles invalid somewhere on the support fall

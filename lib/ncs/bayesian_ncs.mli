@@ -128,18 +128,6 @@ val opt_p_exhaustive :
   t ->
   Extended.t * Bi_bayes.Bayesian.strategy_profile
 
-val opt_p_branch_and_bound :
-  ?node_budget:int -> t -> Extended.t * Bi_bayes.Bayesian.strategy_profile * bool
-(** Exact [optP] by depth-first branch and bound over (agent, type)
-    assignments, pruning with the per-state union-cost lower bound
-    (edges already forced can only gain company, never disappear).
-    Returns [(value, profile, certified)]: [certified] is true when the
-    search space was exhausted within [node_budget] (default [5_000_000]
-    nodes), in which case the value is provably optimal; otherwise the
-    value is the best found — still an upper bound on [optP].  Orders of
-    magnitude faster than {!opt_p_exhaustive} on games whose optimum
-    shares edges aggressively (the paper's constructions). *)
-
 val best_eq_p :
   ?pool:Bi_engine.Pool.t ->
   ?budget:Bi_engine.Budget.t ->

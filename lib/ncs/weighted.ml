@@ -87,51 +87,7 @@ let best_response g profile i =
      | Some j -> j
      | None -> profile.(i))
 
-let profile_space g =
-  Bi_ds.Combinat.product_arrays
-    (Array.map (fun tbl -> Array.init (Array.length tbl) Fun.id) g.path_table)
-
-let is_nash g profile =
-  let rec go i =
-    if i >= players g then true
-    else begin
-      let current = player_cost g profile i in
-      let rec try_action j =
-        if j >= Array.length g.path_table.(i) then true
-        else begin
-          let deviated = Array.copy profile in
-          deviated.(i) <- j;
-          Rat.( <= ) current (player_cost g deviated i) && try_action (j + 1)
-        end
-      in
-      try_action 0 && go (i + 1)
-    end
-  in
-  go 0
-
-let nash_equilibria g = Seq.filter (is_nash g) (profile_space g)
-
-let optimum g =
-  match Bi_ds.Combinat.argmin (social_cost g) ~cmp:Rat.compare (profile_space g) with
-  | Some (a, c) -> (c, a)
-  | None -> assert false
-
-let best_equilibrium g =
-  Option.map
-    (fun (a, c) -> (c, a))
-    (Bi_ds.Combinat.argmin (social_cost g) ~cmp:Rat.compare (nash_equilibria g))
-
-let worst_equilibrium g =
-  Option.map
-    (fun (a, c) -> (c, a))
-    (Bi_ds.Combinat.argmax (social_cost g) ~cmp:Rat.compare (nash_equilibria g))
-
-let ratio pick g =
-  match pick g with
-  | None -> None
-  | Some (eq, _) ->
-    let opt, _ = optimum g in
-    if Rat.is_zero opt then None else Some (Rat.div eq opt)
-
-let price_of_anarchy g = ratio worst_equilibrium g
-let price_of_stability g = ratio best_equilibrium g
+let to_strategic g =
+  Bi_game.Strategic.make ~players:(players g)
+    ~actions:(Array.map Array.length g.path_table)
+    ~cost:(fun profile i -> Extended.of_rat (player_cost g profile i))

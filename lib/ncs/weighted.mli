@@ -4,10 +4,10 @@
     ([W_e] = total weight of its buyers).
 
     Unlike fair-sharing NCS games, weighted games are not potential
-    games in general and may lack pure Nash equilibria, so the solvers
-    here are purely enumerative and every equilibrium query returns an
-    option.  With all weights equal this degenerates exactly to
-    {!Complete} (tested). *)
+    games in general and may lack pure Nash equilibria, so equilibria
+    are found by enumerating {!to_strategic}, and every equilibrium
+    query returns an option.  With all weights equal this degenerates
+    exactly to {!Complete} (tested). *)
 
 open Bi_num
 
@@ -30,11 +30,6 @@ val best_response : t -> int array -> int -> int
 (** Exact, via a shortest-path search under the reweighted edge costs
     [c(e) w_i / (W_others(e) + w_i)]. *)
 
-val is_nash : t -> int array -> bool
-val nash_equilibria : t -> int array Seq.t
-val optimum : t -> Rat.t * int array
-val best_equilibrium : t -> (Rat.t * int array) option
-val worst_equilibrium : t -> (Rat.t * int array) option
-
-val price_of_anarchy : t -> Rat.t option
-val price_of_stability : t -> Rat.t option
+val to_strategic : t -> Bi_game.Strategic.t
+(** The induced strategic-form game over path-index profiles; its
+    equilibria, optimum and {!Bi_game.Anarchy} prices are this game's. *)

@@ -275,6 +275,28 @@ let test_lru_eviction_order () =
   Lru.add lru "e" 5;
   Alcotest.(check (option int)) "mem did not refresh d" None (Lru.find lru "d")
 
+let test_lru_recency_hits () =
+  (* A hit on the newest key leaves the order alone and allocates only
+     the two options of the lookup (4 words; relinking costs 10). *)
+  let lru = Lru.create ~capacity:3 in
+  List.iter (fun (k, v) -> Lru.add lru k v) [ ("a", 1); ("b", 2); ("c", 3) ];
+  let keys () = List.rev (Lru.fold (fun acc k _ -> k :: acc) [] lru) in
+  ignore (Lru.find lru "c");
+  Alcotest.(check (list string)) "newest hit keeps order" [ "c"; "b"; "a" ] (keys ());
+  ignore (Lru.find lru "a");
+  ignore (Lru.find lru "a");
+  Alcotest.(check (list string)) "older hit moves to front" [ "a"; "c"; "b" ] (keys ());
+  Lru.add lru "d" 4;
+  Alcotest.(check (list string)) "least recent evicted" [ "d"; "a"; "c" ] (keys ());
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Lru.find lru "d"))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  if per_call > 4.5 then
+    Alcotest.failf "find of the newest key allocates %.2f minor words per call" per_call
+
 let test_lru_fold_mru_first () =
   let lru = Lru.create ~capacity:4 in
   List.iter (fun (k, v) -> Lru.add lru k v)
@@ -656,6 +678,7 @@ let () =
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
+          Alcotest.test_case "recency on hits" `Quick test_lru_recency_hits;
           Alcotest.test_case "fold order and capacity" `Quick
             test_lru_fold_mru_first;
         ] );

@@ -1,4 +1,4 @@
-(* Tests for heaps, union-find, bitsets and combinatorial enumeration. *)
+(* Tests for heaps, union-find and combinatorial enumeration. *)
 
 open Bi_ds
 
@@ -75,40 +75,6 @@ let prop_union_find_transitive =
       done;
       !ok)
 
-(* --- Bitset --- *)
-
-let test_bitset_basic () =
-  let s = Bitset.of_list 100 [ 3; 50; 99 ] in
-  Alcotest.(check bool) "mem 50" true (Bitset.mem s 50);
-  Alcotest.(check bool) "not mem 4" false (Bitset.mem s 4);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal s);
-  Alcotest.(check (list int)) "elements sorted" [ 3; 50; 99 ] (Bitset.elements s);
-  let s' = Bitset.remove (Bitset.add s 4) 99 in
-  Alcotest.(check (list int)) "after add/remove" [ 3; 4; 50 ] (Bitset.elements s');
-  Alcotest.(check bool) "original untouched" true (Bitset.mem s 99)
-
-let test_bitset_ops () =
-  let a = Bitset.of_list 70 [ 1; 2; 65 ] in
-  let b = Bitset.of_list 70 [ 2; 3; 65 ] in
-  Alcotest.(check (list int)) "union" [ 1; 2; 3; 65 ] (Bitset.elements (Bitset.union a b));
-  Alcotest.(check (list int)) "inter" [ 2; 65 ] (Bitset.elements (Bitset.inter a b));
-  Alcotest.(check (list int)) "diff" [ 1 ] (Bitset.elements (Bitset.diff a b));
-  Alcotest.(check bool) "subset yes" true (Bitset.subset (Bitset.inter a b) a);
-  Alcotest.(check bool) "subset no" false (Bitset.subset a b);
-  Alcotest.(check bool) "is_empty" true (Bitset.is_empty (Bitset.create 70))
-
-let test_bitset_to_index () =
-  let s = Bitset.of_list 10 [ 0; 3 ] in
-  Alcotest.(check int) "packed" 0b1001 (Bitset.to_index s);
-  Alcotest.check_raises "too large"
-    (Invalid_argument "Bitset.to_index: capacity too large") (fun () ->
-      ignore (Bitset.to_index (Bitset.create 100)))
-
-let test_bitset_bounds () =
-  let s = Bitset.create 5 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: element out of range")
-    (fun () -> ignore (Bitset.mem s 5))
-
 (* --- Combinat --- *)
 
 let test_product () =
@@ -175,13 +141,6 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
         ] );
       ("union_find", [ Alcotest.test_case "basic" `Quick test_union_find ]);
-      ( "bitset",
-        [
-          Alcotest.test_case "basic" `Quick test_bitset_basic;
-          Alcotest.test_case "set operations" `Quick test_bitset_ops;
-          Alcotest.test_case "to_index" `Quick test_bitset_to_index;
-          Alcotest.test_case "bounds checking" `Quick test_bitset_bounds;
-        ] );
       ( "combinat",
         [
           Alcotest.test_case "product" `Quick test_product;

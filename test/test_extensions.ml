@@ -1,6 +1,6 @@
 (* Tests for the extension modules: price of anarchy/stability, weighted
-   NCS games, visibility interpolation, and the branch-and-bound optP
-   solver. *)
+   NCS games, visibility interpolation, and the certified
+   branch-and-bound optP solver. *)
 
 open Bi_num
 module Graph = Bi_graph.Graph
@@ -13,6 +13,7 @@ module Weighted = Bi_ncs.Weighted
 module Bncs = Bi_ncs.Bayesian_ncs
 module Visibility = Bi_bayes.Visibility
 module Bayesian = Bi_bayes.Bayesian
+module Bnb = Bi_certify.Bnb
 
 let rat = Alcotest.testable Rat.pp Rat.equal
 let ext = Alcotest.testable Extended.pp Extended.equal
@@ -91,7 +92,8 @@ let test_weighted_degenerates_to_fair () =
           (Weighted.player_cost w profile i)
       done)
     (Bi_ds.Combinat.product_arrays [| [| 0; 1 |]; [| 0; 1 |] |]);
-  Alcotest.(check (option rat)) "same PoA" (Some (r 2)) (Weighted.price_of_anarchy w)
+  Alcotest.(check (option rat)) "same PoA" (Some (r 2))
+    (Anarchy.price_of_anarchy (Weighted.to_strategic w))
 
 let test_weighted_shares_proportional () =
   let w = weighted_parallel [| r 3; Rat.one |] in
@@ -156,7 +158,8 @@ let prop_weighted_equilibria_sound =
           let deviated = Array.copy profile in
           deviated.(i) <- br;
           Rat.( <= ) (Weighted.player_cost g profile i) (Weighted.player_cost g deviated i))
-        true (Weighted.nash_equilibria g))
+        true
+        (Strategic.nash_equilibria (Weighted.to_strategic g)))
 
 (* --- Visibility interpolation --- *)
 
@@ -208,6 +211,14 @@ let prop_visibility_sandwich =
 
 (* --- Branch and bound --- *)
 
+(* The certified optimum of [g], once [Bnb.check] has replayed its
+   certificate; [None] when the search left none. *)
+let certified_optimum g =
+  let o = Bnb.optimum g in
+  match o.Bnb.certificate with
+  | Some c -> if Bnb.check g c = Ok () then Some o.Bnb.value else None
+  | None -> None
+
 let prop_bnb_matches_exhaustive =
   QCheck2.Test.make ~name:"branch-and-bound optP = exhaustive optP" ~count:30
     QCheck2.Gen.(int_range 0 100_000)
@@ -219,15 +230,15 @@ let prop_bnb_matches_exhaustive =
       let support = List.init (1 + Random.State.int rng 2) (fun _ -> profile ()) in
       let g = Bncs.make graph ~prior:(Dist.uniform support) in
       let exhaustive, _ = Bncs.opt_p_exhaustive g in
-      let bnb, _, certified = Bncs.opt_p_branch_and_bound g in
-      certified && Extended.equal exhaustive bnb)
+      match certified_optimum g with
+      | Some v -> Extended.equal v exhaustive
+      | None -> false)
 
 let test_bnb_on_constructions () =
   List.iter
     (fun (name, game, expected) ->
-      let value, _, certified = Bncs.opt_p_branch_and_bound game in
-      Alcotest.(check bool) (name ^ " certified") true certified;
-      Alcotest.check ext (name ^ " value") expected value)
+      Alcotest.(check (option ext)) (name ^ " certified value") (Some expected)
+        (certified_optimum game))
     [
       ( "anshelevich k=5",
         Bi_constructions.Anshelevich_game.game 5,
@@ -238,13 +249,17 @@ let test_bnb_on_constructions () =
     ]
 
 let test_bnb_budget_gives_upper_bound () =
-  let game = Bi_constructions.Gworst_game.bliss_game 5 in
-  let value, _, certified = Bncs.opt_p_branch_and_bound ~node_budget:3 game in
-  (* With a tiny budget the search cannot finish, but the incumbent from
-     benevolent descent is still a sound upper bound. *)
-  Alcotest.(check bool) "not certified" false certified;
+  (* The root relaxation closes most paper games at once; the affine
+     game's search needs thousands of nodes.  With a tiny budget it
+     cannot finish, so no certificate; the incumbent from benevolent
+     descent is still a sound upper bound and the root relaxation a
+     sound lower bound. *)
+  let game = Bi_constructions.Affine_game.game 2 in
+  let o = Bnb.optimum ~node_budget:3 game in
+  Alcotest.(check bool) "not certified" true (o.Bnb.certificate = None);
   let exhaustive, _ = Bncs.opt_p_exhaustive game in
-  Alcotest.(check bool) "upper bound" true (Extended.( <= ) exhaustive value)
+  Alcotest.(check bool) "upper bound" true (Extended.( <= ) exhaustive o.Bnb.value);
+  Alcotest.(check bool) "lower bound" true (Extended.( <= ) o.Bnb.lower exhaustive)
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest

@@ -1,8 +1,11 @@
-(* Tests for strategic-form cost games and congestion games. *)
+(* Tests for strategic-form cost games, and for the congestion-game
+   laws (Rosenthal) on network cost-sharing games — congestion games
+   whose resources are edges, each shared fairly among its buyers. *)
 
 open Bi_num
 module Strategic = Bi_game.Strategic
-module Congestion = Bi_game.Congestion
+module Complete = Bi_ncs.Complete
+module Graph = Bi_graph.Graph
 
 let ext = Alcotest.testable Extended.pp Extended.equal
 let rat = Alcotest.testable Rat.pp Rat.equal
@@ -97,23 +100,23 @@ let test_validation () =
       ignore
         (Strategic.make ~players:0 ~actions:[||] ~cost:(fun _ _ -> Extended.zero)))
 
-(* --- Congestion games --- *)
+(* --- congestion games: NCS games, resources = edges --- *)
 
-(* Two players, two resources with fair sharing: r0 costs 2, r1 costs 3. *)
+(* Two players, two resources with fair sharing: r0 costs 2, r1 costs 3
+   — two parallel edges between the players' common terminals. *)
 let two_resource_game () =
-  Congestion.make ~n_resources:2
-    ~usage_cost:(fun r load ->
-      Rat.of_ints (if r = 0 then 2 else 3) load)
-    ~action_sets:[| [| [ 0 ]; [ 1 ] |]; [| [ 0 ]; [ 1 ] |] |]
+  Complete.make
+    (Graph.make Undirected ~n:2 [ (0, 1, Rat.of_int 2); (0, 1, Rat.of_int 3) ])
+    [| (0, 1); (0, 1) |]
 
 let test_congestion_costs () =
   let g = two_resource_game () in
-  Alcotest.(check (array int)) "loads both on r0" [| 2; 0 |] (Congestion.loads g [| 0; 0 |]);
-  Alcotest.check rat "shared cost" Rat.one (Congestion.player_cost g [| 0; 0 |] 0);
-  Alcotest.check rat "alone cost" (Rat.of_int 3) (Congestion.player_cost g [| 0; 1 |] 1)
+  Alcotest.(check (array int)) "loads both on r0" [| 2; 0 |] (Complete.loads g [| 0; 0 |]);
+  Alcotest.check rat "shared cost" Rat.one (Complete.player_cost g [| 0; 0 |] 0);
+  Alcotest.check rat "alone cost" (Rat.of_int 3) (Complete.player_cost g [| 0; 1 |] 1)
 
 let test_congestion_equilibria () =
-  let s = Congestion.to_strategic (two_resource_game ()) in
+  let s = Complete.to_strategic (two_resource_game ()) in
   let eqs = List.of_seq (Strategic.nash_equilibria s) in
   (* Both-on-r0 (social 2) and both-on-r1 (social 3) are equilibria;
      the splits are not. *)
@@ -126,63 +129,62 @@ let test_congestion_equilibria () =
 
 let test_rosenthal_potential_exact () =
   let g = two_resource_game () in
-  let s = Congestion.to_strategic g in
+  let s = Complete.to_strategic g in
   Alcotest.(check bool) "rosenthal is exact potential" true
-    (Strategic.is_exact_potential s (Congestion.rosenthal_potential g))
+    (Strategic.is_exact_potential s (Complete.potential g))
 
 let test_rosenthal_values () =
   let g = two_resource_game () in
   (* Both on r0: 2/1 + 2/2 = 3. *)
-  Alcotest.check rat "H-sum" (Rat.of_int 3) (Congestion.rosenthal_potential g [| 0; 0 |]);
+  Alcotest.check rat "H-sum" (Rat.of_int 3) (Complete.potential g [| 0; 0 |]);
   (* Split: 2 + 3. *)
-  Alcotest.check rat "split" (Rat.of_int 5) (Congestion.rosenthal_potential g [| 0; 1 |])
+  Alcotest.check rat "split" (Rat.of_int 5) (Complete.potential g [| 0; 1 |])
 
 let test_congestion_validation () =
-  Alcotest.check_raises "bad resource"
-    (Invalid_argument "Congestion.make: resource id out of range") (fun () ->
+  (* A player's resources are the edges of paths between her
+     terminals, so a terminal outside the graph is rejected. *)
+  Alcotest.check_raises "bad terminal"
+    (Invalid_argument "Complete.make: terminal out of range") (fun () ->
       ignore
-        (Congestion.make ~n_resources:1
-           ~usage_cost:(fun _ _ -> Rat.one)
-           ~action_sets:[| [| [ 3 ] |] |]))
+        (Complete.make
+           (Graph.make Undirected ~n:2 [ (0, 1, Rat.one) ])
+           [| (0, 3) |]))
 
-(* Random congestion game generator for property tests. *)
+(* Random network cost-sharing game for property tests: 2-3 players
+   with random terminals on a small connected graph. *)
 let random_congestion seed =
   let rng = Random.State.make [| seed |] in
-  let n_resources = 2 + Random.State.int rng 3 in
-  let costs = Array.init n_resources (fun _ -> 1 + Random.State.int rng 9) in
+  let graph =
+    Bi_graph.Gen.random_connected_graph rng ~n:(3 + Random.State.int rng 2) ~p:0.4
+      ~max_cost:9
+  in
+  let n = Graph.n_vertices graph in
   let players = 2 + Random.State.int rng 2 in
-  let random_action () =
-    let size = 1 + Random.State.int rng 2 in
-    List.init size (fun _ -> Random.State.int rng n_resources)
+  let g =
+    Complete.make graph
+      (Array.init players (fun _ -> (Random.State.int rng n, Random.State.int rng n)))
   in
-  let action_sets =
-    Array.init players (fun _ ->
-        Array.init (1 + Random.State.int rng 2) (fun _ -> random_action ()))
-  in
-  Congestion.make ~n_resources
-    ~usage_cost:(fun r load -> Rat.of_ints costs.(r) load)
-    ~action_sets
+  (g, Complete.to_strategic g)
 
 let prop_congestion_has_pure_ne =
   QCheck2.Test.make ~name:"congestion games have pure equilibria (Rosenthal)" ~count:100
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let s = Congestion.to_strategic (random_congestion seed) in
+      let _, s = random_congestion seed in
       Strategic.best_equilibrium s <> None)
 
 let prop_congestion_potential_exact =
   QCheck2.Test.make ~name:"rosenthal potential is exact on random games" ~count:60
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let g = random_congestion seed in
-      Strategic.is_exact_potential (Congestion.to_strategic g)
-        (Congestion.rosenthal_potential g))
+      let g, s = random_congestion seed in
+      Strategic.is_exact_potential s (Complete.potential g))
 
 let prop_dynamics_reach_nash =
   QCheck2.Test.make ~name:"best-response dynamics reach a Nash equilibrium" ~count:100
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let s = Congestion.to_strategic (random_congestion seed) in
+      let _, s = random_congestion seed in
       let start = Array.make (Strategic.players s) 0 in
       match Strategic.best_response_dynamics s start with
       | Some a -> Strategic.is_nash s a
@@ -192,7 +194,7 @@ let prop_optimum_lower_bounds_equilibria =
   QCheck2.Test.make ~name:"optimum <= every equilibrium cost" ~count:60
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let s = Congestion.to_strategic (random_congestion seed) in
+      let _, s = random_congestion seed in
       let opt, _ = Strategic.optimum s in
       Seq.fold_left
         (fun acc a -> acc && Extended.( <= ) opt (Strategic.social_cost s a))

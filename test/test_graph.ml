@@ -229,6 +229,87 @@ let prop_steiner_sandwich =
         Rat.( <= ) ex approx && Rat.( <= ) approx (Rat.mul_int ex 2)
       | None, _ | _, Extended.Inf -> false)
 
+(* The Dreyfus-Wagner DP as first written, over the all-pairs distance
+   table: Theta(n^2) memory and grow steps, kept as the reference the
+   per-row Dijkstra version must match. *)
+let reference_steiner_cost g ~root ~terminals =
+  let terminals =
+    List.sort_uniq Stdlib.compare (List.filter (fun t -> t <> root) terminals)
+  in
+  let t = List.length terminals in
+  if t = 0 then Extended.zero
+  else begin
+    let terms = Array.of_list terminals in
+    let n = Graph.n_vertices g in
+    let dist = Graph.all_pairs_distances g in
+    let full = (1 lsl t) - 1 in
+    let dp = Array.make_matrix (full + 1) n Extended.Inf in
+    for i = 0 to t - 1 do
+      for v = 0 to n - 1 do
+        dp.(1 lsl i).(v) <- dist.(v).(terms.(i))
+      done
+    done;
+    for mask = 1 to full do
+      if mask land (mask - 1) <> 0 then begin
+        let best = Array.make n Extended.Inf in
+        let sub = ref ((mask - 1) land mask) in
+        while !sub > 0 do
+          if !sub > mask lxor !sub then begin
+            let a = !sub and b = mask lxor !sub in
+            for v = 0 to n - 1 do
+              let c = Extended.add dp.(a).(v) dp.(b).(v) in
+              if Extended.( < ) c best.(v) then best.(v) <- c
+            done
+          end;
+          sub := (!sub - 1) land mask
+        done;
+        for v = 0 to n - 1 do
+          let acc = ref best.(v) in
+          for u = 0 to n - 1 do
+            let c = Extended.add dist.(v).(u) best.(u) in
+            if Extended.( < ) c !acc then acc := c
+          done;
+          dp.(mask).(v) <- !acc
+        done
+      end
+    done;
+    dp.(full).(root)
+  end
+
+let prop_steiner_matches_reference =
+  (* Sparse random multigraphs, directed or not: terminals are often
+     unreachable, may repeat or include the root, and edges may be
+     parallel, self-loops or free. *)
+  QCheck2.Test.make ~name:"steiner DP = all-pairs reference DP" ~count:300
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int rng 7 in
+      let kind = if Random.State.bool rng then Graph.Directed else Graph.Undirected in
+      let edges =
+        List.init (Random.State.int rng 13) (fun _ ->
+            ( Random.State.int rng n,
+              Random.State.int rng n,
+              Rat.of_ints (Random.State.int rng 4) (1 + Random.State.int rng 2) ))
+      in
+      let g = Graph.make kind ~n edges in
+      let root = Random.State.int rng n in
+      let terminals = List.init (Random.State.int rng 5) (fun _ -> Random.State.int rng n) in
+      Extended.equal
+        (Steiner_dp.steiner_cost g ~root ~terminals)
+        (reference_steiner_cost g ~root ~terminals))
+
+let test_steiner_sparse_memory () =
+  (* One edge on 3 000 vertices: an all-pairs table alone is 9M
+     entries (the reference DP allocates ~27M words here); per-row
+     Dijkstra needs a few arrays of n. *)
+  let g = Graph.make Undirected ~n:3_000 [ (0, 1, r 1) ] in
+  let before = Gc.allocated_bytes () in
+  let cost = Steiner_dp.steiner_cost g ~root:0 ~terminals:[ 1 ] in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.check ext "cost" (Extended.of_int 1) cost;
+  if words > 100_000. then Alcotest.failf "allocated %.0f words (bound 100000)" words
+
 (* --- Generators --- *)
 
 let test_generators_shapes () =
@@ -474,6 +555,7 @@ let qtests =
       prop_shortest_path_cost_matches_distance;
       prop_mst_beats_random_spanning_sets;
       prop_steiner_sandwich;
+      prop_steiner_matches_reference;
       prop_store_matches_eager;
       prop_validation_matches_eager;
     ]
@@ -513,6 +595,7 @@ let () =
           Alcotest.test_case "star" `Quick test_steiner_star;
           Alcotest.test_case "directed arborescence" `Quick test_steiner_directed;
           Alcotest.test_case "trivial cases" `Quick test_steiner_trivia;
+          Alcotest.test_case "sparse graph memory" `Quick test_steiner_sparse_memory;
         ] );
       ( "generators",
         [

@@ -1,74 +1,76 @@
-(* Tests for matrix games (fictitious play with certified bounds) and
-   Section 4: R(phi) = R~(phi), and the public-randomness mixture. *)
+(* Tests for Section 4: the normalized zero-sum game solved as one
+   certified LP, R(phi) = R~(phi) exactly, and the public-randomness
+   mixture. *)
 
 open Bi_num
-module Mg = Bi_minimax.Matrix_game
 module S4 = Bi_minimax.Section4
+module Simplex = Bi_lp.Simplex
 module Dist = Bi_prob.Dist
 module Bncs = Bi_ncs.Bayesian_ncs
 
 let rat = Alcotest.testable Rat.pp Rat.equal
+let rats = Alcotest.array rat
 
 let r = Rat.of_int
 let rr = Rat.of_ints
 
-let m rows = Mg.make (Array.of_list (List.map Array.of_list rows))
+let phi rows = S4.make (Array.of_list (List.map Array.of_list rows))
+
+let accepted phi sol =
+  match S4.check phi sol with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "certificate rejected: %s" e
+
+(* --- matrix games (the normalized game N = K / v) --- *)
 
 let test_pure_saddle () =
-  (* Row minimizes; entry (1,0)=2 is max in its row? Build a matrix with
-     a clear saddle: row 1 = [2;3], row 0 = [4;5]: row player picks row
-     1; column player picks column 1: value 3. *)
-  let g = m [ [ r 4; r 5 ]; [ r 2; r 3 ] ] in
-  (match Mg.pure_saddle g with
-   | Some (i, j) ->
-     Alcotest.(check (pair int int)) "saddle" (1, 1) (i, j);
-     Alcotest.check rat "value" (r 3) (Mg.entry g i j)
-   | None -> Alcotest.fail "saddle exists");
-  let sol = Mg.solve g in
-  Alcotest.check rat "lower = upper at saddle" sol.Mg.lower sol.Mg.upper
+  (* Row 1 is optimal under every type profile: v = (2, 3) and the
+     normalized matrix is [[2; 5/3]; [1; 1]], whose pure saddle sits on
+     row 1 with value 1 — a normalized game's column minima are all 1,
+     so a pure saddle always has value 1. *)
+  let g = phi [ [ r 4; r 5 ]; [ r 2; r 3 ] ] in
+  let sol = S4.solve g in
+  Alcotest.check rat "value" Rat.one sol.S4.value;
+  Alcotest.check rats "pure mixture" [| Rat.zero; Rat.one |] sol.S4.mixture;
+  Alcotest.check rat "value = saddle entry" (S4.normalized g).(1).(0) sol.S4.value;
+  accepted g sol
 
 let test_matching_pennies_value () =
-  (* Classic: entries 0/1, value 1/2, no pure saddle. *)
-  let g = m [ [ r 1; r 0 ]; [ r 0; r 1 ] ] in
-  Alcotest.(check bool) "no pure saddle" true (Mg.pure_saddle g = None);
-  let sol = Mg.solve ~iterations:4000 g in
-  Alcotest.(check bool) "bracket straddles 1/2" true
-    (Rat.( <= ) sol.Mg.lower (rr 1 2) && Rat.( <= ) (rr 1 2) sol.Mg.upper);
-  Alcotest.(check bool) "bracket is tight-ish" true
-    (Rat.( <= ) (Rat.sub sol.Mg.upper sol.Mg.lower) (rr 1 10))
+  (* Positive matching pennies: 1 on a match, 3 otherwise.  No pure
+     saddle; value 2 at the uniform mixture against the uniform
+     prior. *)
+  let g = phi [ [ r 1; r 3 ]; [ r 3; r 1 ] ] in
+  let sol = S4.solve g in
+  Alcotest.check rat "value" (r 2) sol.S4.value;
+  Alcotest.check rats "uniform q" [| rr 1 2; rr 1 2 |] sol.S4.mixture;
+  Alcotest.check rats "uniform p*" [| rr 1 2; rr 1 2 |] sol.S4.prior;
+  accepted g sol
 
 let test_guarantees_are_certified () =
-  let g = m [ [ r 1; r 0 ]; [ r 0; r 1 ] ] in
-  let sol = Mg.solve ~iterations:2000 g in
-  (* By definition of the certificates. *)
-  Alcotest.check rat "upper = row guarantee" (Mg.row_guarantee g sol.Mg.row_strategy)
-    sol.Mg.upper;
-  Alcotest.check rat "lower = col guarantee" (Mg.col_guarantee g sol.Mg.col_strategy)
-    sol.Mg.lower
+  (* Three strategies against two types with unequal optima, so p* is
+     the column mixture reweighted by 1/v(t). *)
+  let g = phi [ [ r 1; r 6 ]; [ r 4; r 2 ]; [ r 3; r 4 ] ] in
+  let sol = S4.solve g in
+  Alcotest.check rat "q guarantee = value"
+    (S4.randomized_guarantee g sol.S4.mixture) sol.S4.value;
+  Alcotest.check rat "p* ratio = value"
+    (S4.ratio_under_prior g sol.S4.prior) sol.S4.value;
+  (* v = (1, 2); N = [[1; 3]; [4; 1]; [3; 2]]; rows 0 and 1 mixed
+     3/5 : 2/5 against columns mixed 2/5 : 3/5 give 11/5, and
+     p* is proportional to (2/5 / 1, 3/5 / 2). *)
+  Alcotest.check rat "value" (rr 11 5) sol.S4.value;
+  Alcotest.check rats "q" [| rr 3 5; rr 2 5; Rat.zero |] sol.S4.mixture;
+  Alcotest.check rats "p*" [| rr 4 7; rr 3 7 |] sol.S4.prior;
+  accepted g sol
 
 let test_mixture_validation () =
-  let g = m [ [ r 1; r 0 ]; [ r 0; r 1 ] ] in
-  Alcotest.check_raises "bad sum" (Invalid_argument "Matrix_game: mixture does not sum to one")
-    (fun () -> ignore (Mg.row_guarantee g [| rr 1 2; rr 1 3 |]));
-  Alcotest.check_raises "length" (Invalid_argument "Matrix_game: mixture length mismatch")
-    (fun () -> ignore (Mg.row_guarantee g [| Rat.one |]))
-
-let prop_fictitious_play_brackets =
-  QCheck2.Test.make ~name:"fictitious play: lower <= upper, both certified" ~count:40
-    QCheck2.Gen.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let rows = 2 + Random.State.int rng 3 in
-      let cols = 2 + Random.State.int rng 3 in
-      let mat =
-        Array.init rows (fun _ ->
-            Array.init cols (fun _ -> Rat.of_int (Random.State.int rng 9)))
-      in
-      let g = Mg.make mat in
-      let sol = Mg.solve ~iterations:800 g in
-      Rat.( <= ) sol.Mg.lower sol.Mg.upper
-      && Rat.equal (Mg.row_guarantee g sol.Mg.row_strategy) sol.Mg.upper
-      && Rat.equal (Mg.col_guarantee g sol.Mg.col_strategy) sol.Mg.lower)
+  let g = phi [ [ r 1; r 3 ]; [ r 3; r 1 ] ] in
+  Alcotest.check_raises "bad sum" (Invalid_argument "Section4: mixture does not sum to one")
+    (fun () -> ignore (S4.randomized_guarantee g [| rr 1 2; rr 1 3 |]));
+  Alcotest.check_raises "length" (Invalid_argument "Section4: mixture length mismatch")
+    (fun () -> ignore (S4.randomized_guarantee g [| Rat.one |]));
+  Alcotest.check_raises "negative prior" (Invalid_argument "Section4: negative prior weight")
+    (fun () -> ignore (S4.ratio_under_prior g [| rr 3 2; rr (-1) 2 |]))
 
 (* --- Section 4 --- *)
 
@@ -81,9 +83,7 @@ let guess_phi () = S4.make [| [| r 1; r 2 |]; [| r 2; r 1 |] |]
 let test_section4_guess_game () =
   let phi = guess_phi () in
   Alcotest.check rat "v(t)" Rat.one (S4.opt_of_type phi 0);
-  let sol = S4.r_tilde ~iterations:4000 phi in
-  Alcotest.(check bool) "R~ bracket around 3/2" true
-    (Rat.( <= ) sol.Mg.lower (rr 3 2) && Rat.( <= ) (rr 3 2) sol.Mg.upper);
+  Alcotest.check rat "R~ = 3/2" (rr 3 2) (S4.solve phi).S4.value;
   (* The uniform mixture guarantees exactly 3/2 against every prior. *)
   let q = [| rr 1 2; rr 1 2 |] in
   Alcotest.check rat "uniform q guarantee" (rr 3 2) (S4.randomized_guarantee phi q);
@@ -96,15 +96,14 @@ let test_section4_guess_game () =
     (S4.ratio_under_prior phi [| rr 1 2; rr 1 2 |])
 
 let test_proposition_4_2 () =
+  (* R(phi) = max_p ratio(p) and R~(phi) = min_q guarantee(q) meet at
+     3/2: the certificate exhibits q and p* attaining it. *)
   let phi = guess_phi () in
-  let lo, hi = S4.r_star_bracket ~iterations:3000 ~steps:12 phi in
-  (* R(phi) = 3/2 must sit inside the bracket, matching R~(phi). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "bracket [%s, %s] contains 3/2" (Rat.to_string lo) (Rat.to_string hi))
-    true
-    (Rat.( <= ) lo (rr 3 2) && Rat.( <= ) (rr 3 2) hi);
-  Alcotest.(check bool) "bracket reasonably tight" true
-    (Rat.( <= ) (Rat.sub hi lo) (rr 1 4))
+  let sol = S4.solve phi in
+  accepted phi sol;
+  Alcotest.check rat "R~" (rr 3 2) sol.S4.value;
+  Alcotest.check rat "R = ratio at p*" (rr 3 2) (S4.ratio_under_prior phi sol.S4.prior);
+  Alcotest.check rats "p* uniform" [| rr 1 2; rr 1 2 |] sol.S4.prior
 
 let test_positive_costs_required () =
   Alcotest.check_raises "zero cost"
@@ -128,9 +127,49 @@ let test_of_bayesian_ncs () =
   Alcotest.check rat "v(t1)" Rat.one (S4.opt_of_type phi 1);
   (* There is a single strategy profile optimal for every type profile
      simultaneously (everyone on e0), so R(phi) = 1. *)
-  let sol = S4.r_tilde ~iterations:1000 phi in
-  Alcotest.check rat "R~ = 1 exactly" Rat.one sol.Mg.upper;
-  Alcotest.check rat "lower too" Rat.one sol.Mg.lower
+  let sol = S4.solve phi in
+  Alcotest.check rat "R~ = 1 exactly" Rat.one sol.S4.value;
+  accepted phi sol
+
+(* Random positive cost matrices up to 8x6. *)
+let random_phi rng =
+  let rows = 1 + Random.State.int rng 8 in
+  let cols = 1 + Random.State.int rng 6 in
+  S4.make
+    (Array.init rows (fun _ ->
+         Array.init cols (fun _ -> Rat.of_int (1 + Random.State.int rng 9))))
+
+let prop_lp_certifies_minimax =
+  QCheck2.Test.make ~name:"Section4 LP: certified, value = q guarantee = p* ratio"
+    ~count:100
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let phi = random_phi (Random.State.make [| seed |]) in
+      let sol = S4.solve phi in
+      Simplex.check (S4.problem phi) sol.S4.certificate = Ok ()
+      && Rat.equal sol.S4.value (S4.randomized_guarantee phi sol.S4.mixture)
+      && Rat.equal sol.S4.value (S4.ratio_under_prior phi sol.S4.prior)
+      && S4.check phi sol = Ok ())
+
+let prop_check_rejects_perturbations =
+  QCheck2.Test.make ~name:"Section4.check rejects a perturbed value, q or p*"
+    ~count:60
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 7))
+    (fun (seed, d) ->
+      let rng = Random.State.make [| seed |] in
+      let phi = random_phi rng in
+      let sol = S4.solve phi in
+      let delta = if Random.State.bool rng then rr d 5 else rr (-d) 7 in
+      let nudge w =
+        let w = Array.copy w in
+        let i = Random.State.int rng (Array.length w) in
+        w.(i) <- Rat.add w.(i) delta;
+        w
+      in
+      let rejected s = S4.check phi s <> Ok () in
+      rejected { sol with S4.value = Rat.add sol.S4.value delta }
+      && rejected { sol with S4.mixture = nudge sol.S4.mixture }
+      && rejected { sol with S4.prior = nudge sol.S4.prior })
 
 let prop_randomized_guarantee_beats_best_pure_sometimes =
   (* Structural sanity: the optimal mixture's guarantee is never worse
@@ -146,18 +185,21 @@ let prop_randomized_guarantee_beats_best_pure_sometimes =
             Array.init cols (fun _ -> Rat.of_int (1 + Random.State.int rng 8)))
       in
       let phi = S4.make mat in
-      let sol = S4.r_tilde ~iterations:600 phi in
+      let sol = S4.solve phi in
       let normalized = S4.normalized phi in
       let pure_worst i = Array.fold_left Rat.max Rat.zero normalized.(i) in
       let best_pure = ref (pure_worst 0) in
       for i = 1 to rows - 1 do
         best_pure := Rat.min !best_pure (pure_worst i)
       done;
-      Rat.( <= ) (S4.randomized_guarantee phi sol.Mg.row_strategy) !best_pure)
+      Rat.( <= ) (S4.randomized_guarantee phi sol.S4.mixture) !best_pure)
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_fictitious_play_brackets; prop_randomized_guarantee_beats_best_pure_sometimes ]
+    [
+      prop_lp_certifies_minimax; prop_check_rejects_perturbations;
+      prop_randomized_guarantee_beats_best_pure_sometimes;
+    ]
 
 let () =
   Alcotest.run "bi_minimax"
@@ -172,7 +214,7 @@ let () =
       ( "section4",
         [
           Alcotest.test_case "guess game" `Quick test_section4_guess_game;
-          Alcotest.test_case "proposition 4.2" `Slow test_proposition_4_2;
+          Alcotest.test_case "proposition 4.2" `Quick test_proposition_4_2;
           Alcotest.test_case "positive costs" `Quick test_positive_costs_required;
           Alcotest.test_case "from Bayesian NCS" `Quick test_of_bayesian_ncs;
         ] );
