@@ -25,6 +25,21 @@ let equilibria_test =
     (Staged.stage (fun () ->
          ignore (Seq.length (Ncs.Bayesian_ncs.bayesian_equilibria game))))
 
+(* Certified-tier descent: every start of anshelevich k=8 descended to
+   its fixpoint and certified (margins and value) through the evaluation
+   kernel.  One call is ~70 us on a 2-vCPU host; repeating it four or
+   sixteen times per run did not raise the share of fits at r² >= 0.9
+   on a noisy host, so each run makes one. *)
+let descent_game =
+  match Constructions.Registry.build "anshelevich" 8 with
+  | Ok g -> g
+  | Error e -> failwith e
+
+let descent_test =
+  Test.make ~name:"certified descent, anshelevich k=8"
+    (Staged.stage (fun () ->
+         ignore (Sys.opaque_identity (Certify.Descent.equilibria descent_game))))
+
 (* Section 4 kernel: the certified LP for R~ of a fixed positive
    16x8 cost matrix — normalize, build the program, simplex to the
    optimum. *)
@@ -270,7 +285,7 @@ let benchmark () =
         reference_test; bigint_test; rat_add_small_test; rat_add_large_test;
         rat_cmp_small_test; rat_cmp_large_test; simplex_pivot_test;
         profile_cost_test; dijkstra_test; steiner_test; equilibria_test;
-        section4_test; frt_test; fingerprint_test; cache_hit_test;
+        descent_test; section4_test; frt_test; fingerprint_test; cache_hit_test;
         tree_hit_test; digest_rollup_test;
       ]
   in

@@ -1,8 +1,7 @@
 open Bi_num
 module Bayesian = Bi_bayes.Bayesian
 module Bncs = Bi_ncs.Bayesian_ncs
-module Dist = Bi_prob.Dist
-module Graph = Bi_graph.Graph
+module Kernel = Bi_ncs.Kernel
 module Budget = Bi_engine.Budget
 
 type certificate = {
@@ -21,233 +20,109 @@ type outcome = {
   nodes : int;
 }
 
-(* Everything the bound needs, shared verbatim between the search and
-   the certificate replay so both price nodes identically. *)
-type env = {
-  players : int;
-  n_types : int array;
-  vars : (int * int) array;
-  states : (int array * Rat.t) array;
-  n_edges : int;
-  edge_cost : Rat.t array;
-  paths : int array array array; (* player -> action -> edge ids *)
-  valid : int array array array; (* player -> type -> valid actions *)
-  (* DFS scratch *)
-  count : int array array; (* state -> edge -> committed load *)
-  state_cost : Rat.t array; (* state -> committed union cost *)
-  m : int array; (* per-edge remaining-agent multiplicity *)
-  stamp : int array; (* agent-dedup marks for [m] *)
-  tok : int ref;
-  (* Reusable rational accumulators, one per nesting level of the bound
-     (path sum inside share sum inside the weighted total), so pricing a
-     node allocates no intermediate rationals.  [env] is per-call and
-     single-domain, so plain mutation is safe. *)
-  pacc : Rat.Acc.t;
-  sacc : Rat.Acc.t;
-  tacc : Rat.Acc.t;
-}
-
-let make_env g =
+(* The branching order: positive-marginal (player, type) variables in
+   decreasing-marginal order, shared verbatim by the search and the
+   replay. *)
+let variables g =
   let bg = Bncs.game g in
-  let players = Bayesian.players bg in
-  let n_types = Array.init players (Bayesian.n_types bg) in
-  let vars =
-    let all = ref [] in
-    for i = players - 1 downto 0 do
-      let marg = Bayesian.type_marginal bg i in
-      for ti = Array.length marg - 1 downto 0 do
-        if Stdlib.(Rat.sign marg.(ti) > 0) then
-          all := ((i, ti), marg.(ti)) :: !all
-      done
-    done;
-    let arr = Array.of_list !all in
-    Array.stable_sort (fun (_, a) (_, b) -> Rat.compare b a) arr;
-    Array.map fst arr
-  in
-  let states = Array.of_list (Dist.to_list (Bayesian.prior bg)) in
-  let graph = Bncs.graph g in
-  let n_edges = Graph.n_edges graph in
-  { players; n_types; vars; states; n_edges;
-    edge_cost = Array.init n_edges (Graph.cost graph);
-    paths =
-      Array.init players (fun i -> Array.map Array.of_list (Bncs.actions g i));
-    valid =
-      Array.init players (fun i ->
-          Array.init n_types.(i) (fun ti ->
-              Array.of_list (Bncs.valid_actions g i ti)));
-    count = Array.make_matrix (Array.length states) n_edges 0;
-    state_cost = Array.make (Array.length states) Rat.zero;
-    m = Array.make n_edges 0;
-    stamp = Array.make n_edges (-1);
-    tok = ref 0;
-    pacc = Rat.Acc.create ();
-    sacc = Rat.Acc.create ();
-    tacc = Rat.Acc.create () }
-
-let realized env s i ti = (fst env.states.(s)).(i) = ti
-
-let commit env i ti a =
-  let path = env.paths.(i).(a) in
-  for s = 0 to Array.length env.states - 1 do
-    if realized env s i ti then
-      Array.iter
-        (fun e ->
-          let c = env.count.(s) in
-          c.(e) <- c.(e) + 1;
-          if c.(e) = 1 then
-            env.state_cost.(s) <- Rat.add env.state_cost.(s) env.edge_cost.(e))
-        path
-  done
-
-let uncommit env i ti a =
-  let path = env.paths.(i).(a) in
-  for s = 0 to Array.length env.states - 1 do
-    if realized env s i ti then
-      Array.iter
-        (fun e ->
-          let c = env.count.(s) in
-          c.(e) <- c.(e) - 1;
-          if c.(e) = 0 then
-            env.state_cost.(s) <- Rat.sub env.state_cost.(s) env.edge_cost.(e))
-        path
-  done
-
-(* Cheapest valid path of (i, ti) priced on uncommitted edges in state
-   [s] — at full cost, or at the [1/m(e)] fractional share. *)
-let min_discounted env s i ti ~share =
-  let best = ref None in
-  Array.iter
-    (fun a ->
-      Rat.Acc.clear env.pacc;
-      Array.iter
-        (fun e ->
-          if env.count.(s).(e) = 0 then begin
-            if share then Rat.Acc.add_div_int env.pacc env.edge_cost.(e) env.m.(e)
-            else Rat.Acc.add env.pacc env.edge_cost.(e)
-          end)
-        env.paths.(i).(a);
-      let acc = Rat.Acc.to_rat env.pacc in
-      match !best with
-      | Some b when Rat.(b <= acc) -> ()
-      | _ -> best := Some acc)
-    env.valid.(i).(ti);
-  match !best with Some b -> b | None -> Rat.zero
-
-let bound env depth =
-  let nvars = Array.length env.vars in
-  Rat.Acc.clear env.tacc;
-  for s = 0 to Array.length env.states - 1 do
-    let _, w = env.states.(s) in
-    Array.fill env.m 0 env.n_edges 0;
-    for v = depth to nvars - 1 do
-      let i, ti = env.vars.(v) in
-      if realized env s i ti then begin
-        incr env.tok;
-        let t = !(env.tok) in
-        Array.iter
-          (fun a ->
-            Array.iter
-              (fun e ->
-                if env.count.(s).(e) = 0 && env.stamp.(e) <> t then begin
-                  env.stamp.(e) <- t;
-                  env.m.(e) <- env.m.(e) + 1
-                end)
-              env.paths.(i).(a))
-          env.valid.(i).(ti)
-      end
-    done;
-    let single = ref Rat.zero in
-    Rat.Acc.clear env.sacc;
-    for v = depth to nvars - 1 do
-      let i, ti = env.vars.(v) in
-      if realized env s i ti then begin
-        single := Rat.max !single (min_discounted env s i ti ~share:false);
-        Rat.Acc.add env.sacc (min_discounted env s i ti ~share:true)
-      end
-    done;
-    let share = Rat.Acc.to_rat env.sacc in
-    (* w*(state_cost + tail) folded as two fused multiply-adds. *)
-    Rat.Acc.add_mul env.tacc w env.state_cost.(s);
-    Rat.Acc.add_mul env.tacc w (Rat.max !single share)
+  let all = ref [] in
+  for i = Bayesian.players bg - 1 downto 0 do
+    let marg = Bayesian.type_marginal bg i in
+    for ti = Array.length marg - 1 downto 0 do
+      if Stdlib.(Rat.sign marg.(ti) > 0) then all := ((i, ti), marg.(ti)) :: !all
+    done
   done;
-  Rat.Acc.to_rat env.tacc
+  let arr = Array.of_list !all in
+  Array.stable_sort (fun (_, a) (_, b) -> Rat.compare b a) arr;
+  Array.map fst arr
 
-let leaf_value env =
-  Rat.Acc.clear env.tacc;
-  Array.iteri
-    (fun s (_, w) -> Rat.Acc.add_mul env.tacc w env.state_cost.(s))
-    env.states;
-  Rat.Acc.to_rat env.tacc
-
-let base_profile env =
-  Array.init env.players (fun i ->
-      Array.init env.n_types.(i) (fun ti -> env.valid.(i).(ti).(0)))
-
-let profile_of env choice =
-  let p = base_profile env in
-  Array.iteri (fun v (i, ti) -> p.(i).(ti) <- choice.(v)) env.vars;
+let profile_of g vars choice =
+  let sh = Bncs.shape g in
+  let p =
+    Array.init (Bncs.players g) (fun i ->
+        Array.init (Array.length (Bncs.types g i)) (fun ti -> (Kernel.valid sh i ti).(0)))
+  in
+  Array.iteri (fun v (i, ti) -> p.(i).(ti) <- choice.(v)) vars;
   p
 
-let default_incumbent g =
-  let bg = Bncs.game g in
-  let s = Bayesian.benevolent_descent bg (Bncs.shortest_path_profile g) in
-  (Bncs.social_cost g s, s)
+let default_incumbent ?budget g =
+  match Bncs.kernel g with
+  | Kernel.Packed ((module K), kg) ->
+    let s = K.benevolent ?budget kg (Bncs.shortest_path_profile g) in
+    (Bncs.social_cost g s, s)
 
+(* The search prices nodes in the game's kernel instance; values cross
+   to rationals only where they leave it: the ledger, the outcome and an
+   improving leaf. *)
 let optimum ?(budget = Budget.unlimited) ?(node_budget = 5_000_000) ?incumbent
     g =
-  let env = make_env g in
+  let sh = Bncs.shape g in
+  let vars = variables g in
   let inc_value, inc_profile =
-    match incumbent with Some vp -> vp | None -> default_incumbent g
+    match incumbent with Some vp -> vp | None -> default_incumbent ~budget g
   in
-  let best_val = ref inc_value
-  and best_profile = ref inc_profile
-  and ledger = ref []
-  and nodes = ref 0
-  and exhausted = ref true in
-  let nvars = Array.length env.vars in
-  let choice = Array.make (Stdlib.max nvars 1) (-1) in
-  let lower = bound env 0 in
-  let rec go depth =
-    if depth = nvars then begin
-      let v = Extended.of_rat (leaf_value env) in
-      if Extended.(v < !best_val) then begin
-        best_val := v;
-        best_profile := profile_of env choice
+  match Bncs.kernel g with
+  | Kernel.Packed ((module K), kg) ->
+    let nd = K.node kg in
+    let best_val = ref inc_value
+    and best_num =
+      ref (Option.bind (Extended.to_rat_opt inc_value) (K.ceil_social kg))
+    and best_profile = ref inc_profile
+    and ledger = ref []
+    and nodes = ref 0
+    and exhausted = ref true in
+    let below b = match !best_num with None -> true | Some v -> K.compare b v < 0 in
+    let nvars = Array.length vars in
+    let choice = Array.make (Stdlib.max nvars 1) (-1) in
+    let lower = K.bound kg nd vars 0 in
+    let rec go depth =
+      if depth = nvars then begin
+        let v = K.leaf kg nd in
+        if below v then begin
+          best_num := Some v;
+          best_val := Extended.of_rat (K.social_rat kg v);
+          best_profile := profile_of g vars choice
+        end
       end
-    end
-    else begin
-      let i, ti = env.vars.(depth) in
-      Array.iter
-        (fun a ->
-          if !exhausted then begin
-            Budget.check budget;
-            incr nodes;
-            if !nodes > node_budget then exhausted := false
-            else begin
-              commit env i ti a;
-              choice.(depth) <- a;
-              let b = bound env (depth + 1) in
-              if Extended.(Extended.of_rat b < !best_val) then go (depth + 1)
-              else ledger := (Array.sub choice 0 (depth + 1), b) :: !ledger;
-              uncommit env i ti a
-            end
-          end)
-        env.valid.(i).(ti)
-    end
-  in
-  go 0;
-  let value = !best_val and profile = !best_profile in
-  let certificate =
-    if !exhausted then
-      Some
-        { profile; value; variables = env.vars; ledger = List.rev !ledger;
-          nodes = !nodes }
-    else None
-  in
-  { value; profile; certificate; lower = Extended.of_rat lower;
-    nodes = !nodes }
+      else begin
+        let i, ti = vars.(depth) in
+        Array.iter
+          (fun a ->
+            if !exhausted then begin
+              Budget.check budget;
+              incr nodes;
+              if !nodes > node_budget then exhausted := false
+              else begin
+                K.commit kg nd i ti a;
+                choice.(depth) <- a;
+                let b = K.bound kg nd vars (depth + 1) in
+                if below b then go (depth + 1)
+                else
+                  ledger :=
+                    (Array.sub choice 0 (depth + 1), K.social_rat kg b) :: !ledger;
+                K.uncommit kg nd i ti a
+              end
+            end)
+          (Kernel.valid sh i ti)
+      end
+    in
+    go 0;
+    let value = !best_val and profile = !best_profile in
+    let certificate =
+      if !exhausted then
+        Some
+          { profile; value; variables = vars; ledger = List.rev !ledger;
+            nodes = !nodes }
+      else None
+    in
+    { value; profile; certificate;
+      lower = Extended.of_rat (K.social_rat kg lower); nodes = !nodes }
 
-let root_lower g = Extended.of_rat (bound (make_env g) 0)
+(* The checker's side prices on the unscaled Rat lowering, whose values
+   are the rationals themselves. *)
+let root_lower g =
+  let qg = Kernel.lower_rat (Bncs.shape g) in
+  Extended.of_rat (Kernel.Q.bound qg (Kernel.Q.node qg) (variables g) 0)
 
 (* Ledger prefixes share their leading choices, and the polymorphic
    hash only inspects a bounded prefix of a key — hashing them as lists
@@ -268,29 +143,38 @@ module Ptbl = Hashtbl.Make (Prefix)
 
 exception Fail of string
 
-let shape_check env profile =
-  if Array.length profile <> env.players then
+let shape_check g profile =
+  let bg = Bncs.game g in
+  if Array.length profile <> Bayesian.players bg then
     raise (Fail "witness has the wrong number of players");
   Array.iteri
     (fun i row ->
-      if Array.length row <> env.n_types.(i) then
+      if Array.length row <> Bayesian.n_types bg i then
         raise (Fail (Printf.sprintf "witness player %d: wrong type count" i));
       Array.iter
         (fun ai ->
-          if ai < 0 || ai >= Array.length env.paths.(i) then
+          if ai < 0 || ai >= Bayesian.n_actions bg i then
             raise
               (Fail (Printf.sprintf "witness player %d: action out of range" i)))
         row)
     profile
 
 let check g cert =
-  let env = make_env g in
+  let module Q = Kernel.Q in
+  let sh = Bncs.shape g in
+  let qg = Kernel.lower_rat sh in
+  let nd = Q.node qg in
+  let vars = variables g in
   try
-    if env.vars <> cert.variables then
+    if vars <> cert.variables then
       raise (Fail "branching order differs from the game's");
-    shape_check env cert.profile;
-    if not (Extended.equal (Bncs.social_cost g cert.profile) cert.value) then
-      raise (Fail "certified value differs from the witness's social cost");
+    shape_check g cert.profile;
+    if
+      not
+        (Extended.equal
+           (Bayesian.social_cost (Bncs.game g) cert.profile)
+           cert.value)
+    then raise (Fail "certified value differs from the witness's social cost");
     let value_rat =
       match Extended.to_rat_opt cert.value with
       | Some v -> v
@@ -304,30 +188,30 @@ let check g cert =
       cert.ledger;
     let cap = (cert.nodes * 10) + 1000 in
     let visited = ref 0 in
-    let nvars = Array.length env.vars in
+    let nvars = Array.length vars in
     let choice = Array.make (Stdlib.max nvars 1) (-1) in
     let rec go depth =
       if depth = nvars then begin
-        if Rat.(leaf_value env < value_rat) then
+        if Rat.(Q.leaf qg nd < value_rat) then
           raise (Fail "a leaf beats the certified value")
       end
       else begin
-        let i, ti = env.vars.(depth) in
+        let i, ti = vars.(depth) in
         Array.iter
           (fun a ->
             incr visited;
             if !visited > cap then raise (Fail "replay exceeded the node cap");
-            commit env i ti a;
+            Q.commit qg nd i ti a;
             choice.(depth) <- a;
             (match Ptbl.find_opt tbl (Array.sub choice 0 (depth + 1)) with
             | Some b ->
-              if not (Rat.equal b (bound env (depth + 1))) then
+              if not (Rat.equal b (Q.bound qg nd vars (depth + 1))) then
                 raise (Fail "a ledger bound differs from its recomputation");
               if Rat.(b < value_rat) then
                 raise (Fail "a ledger bound fails to dominate the value")
             | None -> go (depth + 1));
-            uncommit env i ti a)
-          env.valid.(i).(ti)
+            Q.uncommit qg nd i ti a)
+          (Kernel.valid sh i ti)
       end
     in
     go 0;

@@ -18,7 +18,10 @@
 
     Both relaxations range over the game's enumerated simple-path
     action sets, i.e. they are shortest-path computations in the
-    committed-edges-discounted metric.
+    committed-edges-discounted metric.  The search prices nodes in the
+    game's evaluation kernel ({!Bi_ncs.Bayesian_ncs.kernel}); the replay
+    in {!check} prices them on the kernel's unscaled [Rat] instance and
+    recomputes the witness's cost through the generic game.
 
     A closed search emits a {!certificate}: the incumbent witness plus
     a ledger recording, for every pruned node, its prefix and the bound

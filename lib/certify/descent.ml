@@ -1,6 +1,7 @@
 open Bi_num
 module Bayesian = Bi_bayes.Bayesian
 module Bncs = Bi_ncs.Bayesian_ncs
+module Kernel = Bi_ncs.Kernel
 module Budget = Bi_engine.Budget
 module Pool = Bi_engine.Pool
 
@@ -61,9 +62,13 @@ let interim_at bg s i ti ai =
   s.(i).(ti) <- saved;
   c
 
-(* The canonical margin list of [s]: (player, type, alternative) in
-   index order, valid alternatives only, slacks of either sign.  Raises
-   [Bad] when an interim cost that must be finite is not. *)
+let infinite_interim i ti =
+  Printf.sprintf "player %d type %d: infinite interim cost" i ti
+
+(* The checker's canonical margin list of [s], re-derived through the
+   generic lowered game: (player, type, alternative) in index order,
+   valid alternatives only, slacks of either sign.  Raises [Bad] when an
+   interim cost that must be finite is not. *)
 let margins_exn g s =
   let bg = Bncs.game g in
   let out = ref [] in
@@ -75,11 +80,7 @@ let margins_exn g s =
         let current =
           match Extended.to_rat_opt current with
           | Some c -> c
-          | None ->
-            raise
-              (Bad
-                 (Printf.sprintf "player %d type %d: infinite interim cost" i
-                    ti))
+          | None -> raise (Bad (infinite_interim i ti))
         in
         List.iter
           (fun alt ->
@@ -105,31 +106,45 @@ let margins_exn g s =
   done;
   List.rev !out
 
+let negative_slack margins =
+  List.find_opt (fun m -> Stdlib.(Rat.sign m.slack < 0)) margins
+
+(* The producer side prices every margin and the value in the kernel. *)
 let certificate g s =
   match shape_error g s with
   | Some e -> Error e
   | None -> (
     let s = copy_profile s in
-    match margins_exn g s with
-    | exception Bad e -> Error e
-    | margins -> (
-      match
-        List.find_opt (fun m -> Stdlib.(Rat.sign m.slack < 0)) margins
-      with
-      | Some m ->
-        Error
-          (Printf.sprintf
-             "not an equilibrium: player %d type %d improves by switching \
-              action %d -> %d"
-             m.player m.typ m.action m.alternative)
-      | None -> Ok { profile = s; value = Bncs.social_cost g s; margins }))
+    match Bncs.kernel g with
+    | Kernel.Packed ((module K), kg) -> (
+      let sc = K.scratch kg in
+      ignore (K.fill kg sc s);
+      match K.margins kg sc s with
+      | Error (i, ti) -> Error (infinite_interim i ti)
+      | Ok ms -> (
+        let margins =
+          List.map
+            (fun (player, typ, action, alternative, slack) ->
+              { player; typ; action; alternative; slack })
+            ms
+        in
+        match negative_slack margins with
+        | Some m ->
+          Error
+            (Printf.sprintf
+               "not an equilibrium: player %d type %d improves by switching \
+                action %d -> %d"
+               m.player m.typ m.action m.alternative)
+        | None ->
+          let value = Extended.of_rat (K.social_rat kg (K.social_cost kg sc)) in
+          Ok { profile = s; value; margins })))
 
 let check g cert =
   match shape_error g cert.profile with
   | Some e -> Error e
   | None ->
     let s = copy_profile cert.profile in
-    if not (Extended.equal (Bncs.social_cost g s) cert.value) then
+    if not (Extended.equal (Bayesian.social_cost (Bncs.game g) s) cert.value) then
       Error "certificate value differs from the recomputed social cost"
     else (
       match margins_exn g s with
@@ -145,9 +160,7 @@ let check g cert =
           || not (List.for_all2 same expect cert.margins)
         then Error "margin list differs from the canonical recomputation"
         else (
-          match
-            List.find_opt (fun m -> Stdlib.(Rat.sign m.slack < 0)) expect
-          with
+          match negative_slack expect with
           | Some m ->
             Error
               (Printf.sprintf "negative slack at player %d type %d" m.player
@@ -155,34 +168,34 @@ let check g cert =
           | None -> Ok ()))
 
 let step g s =
-  let bg = Bncs.game g in
-  let players = Bayesian.players bg in
-  let rec go i ti =
-    if i >= players then None
-    else if ti >= Bayesian.n_types bg i then go (i + 1) 0
-    else
-      match Bayesian.best_type_deviation bg s i ti with
-      | Some (ai', _) -> Some (i, ti, ai')
-      | None -> go i (ti + 1)
-  in
-  go 0 0
+  match Bncs.kernel g with
+  | Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg in
+    ignore (K.fill kg sc s);
+    K.step kg sc s
 
+(* The loads follow each move, so a step re-prices deviations against
+   them instead of refilling the profile. *)
 let descend ?(budget = Budget.unlimited) ?(max_steps = 200_000) g start =
-  let s = copy_profile start in
-  let rec go steps =
-    if steps > max_steps then None
-    else begin
-      Budget.check budget;
-      match step g s with
-      | None -> Some s
-      | Some (i, ti, ai') ->
-        s.(i).(ti) <- ai';
-        go (steps + 1)
-    end
-  in
-  go 0
+  match Bncs.kernel g with
+  | Kernel.Packed ((module K), kg) ->
+    let s = copy_profile start in
+    let sc = K.scratch kg in
+    ignore (K.fill kg sc s);
+    let rec go steps =
+      if steps > max_steps then None
+      else begin
+        Budget.check budget;
+        match K.step kg sc s with
+        | None -> Some s
+        | Some m ->
+          K.move kg sc s m;
+          go (steps + 1)
+      end
+    in
+    go 0
 
-let starts ?(seeds = 4) g =
+let starts ?budget ?(seeds = 4) g =
   let bg = Bncs.game g in
   let players = Bayesian.players bg in
   let profile_of f =
@@ -202,7 +215,10 @@ let starts ?(seeds = 4) g =
   in
   let uniform = List.init !max_valid (fun j -> profile_of (nth_valid j)) in
   let sp = Bncs.shortest_path_profile g in
-  let benevolent = Bayesian.benevolent_descent bg sp in
+  let benevolent =
+    match Bncs.kernel g with
+    | Kernel.Packed ((module K), kg) -> K.benevolent ?budget kg sp
+  in
   (* Fixed-stream pseudo-random valid profiles (an LCG on the native
      int), so the seed set is identical across runs and pool sizes. *)
   let random seed =
@@ -218,7 +234,7 @@ let starts ?(seeds = 4) g =
   List.rev (List.fold_left dedup [] ((sp :: benevolent :: uniform) @ rand))
 
 let equilibria ?pool ?budget ?seeds ?(extra = []) g =
-  let ss = Array.of_list (starts ?seeds g @ List.map copy_profile extra) in
+  let ss = Array.of_list (starts ?budget ?seeds g @ List.map copy_profile extra) in
   let run s = descend ?budget g s in
   let fixpoints =
     match pool with

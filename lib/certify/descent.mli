@@ -11,6 +11,12 @@
     each fixpoint ships as a {!certificate} whose deviation margins a
     checker re-derives from scratch.
 
+    Steps, the benevolent start and certificates price through the
+    game's evaluation kernel ({!Bi_ncs.Bayesian_ncs.kernel}); {!check}
+    re-derives every margin and the value through the generic
+    {!Bi_bayes.Bayesian} evaluation instead, so it never shares the
+    producer's arithmetic.
+
     Soundness of the margin set: a type of positive marginal is in
     equilibrium iff no {e valid} alternative action improves her interim
     cost — invalid alternatives cost infinity and can never undercut a
@@ -68,9 +74,14 @@ val descend :
     bugs.  Polls [budget] every step and lets {!Bi_engine.Budget.Expired}
     escape. *)
 
-val starts : ?seeds:int -> Bi_ncs.Bayesian_ncs.t -> Bi_bayes.Bayesian.strategy_profile list
+val starts :
+  ?budget:Bi_engine.Budget.t ->
+  ?seeds:int ->
+  Bi_ncs.Bayesian_ncs.t ->
+  Bi_bayes.Bayesian.strategy_profile list
 (** The deterministic multi-start seed set, deduplicated: the per-type
-    shortest-path profile, its benevolent descent, the j-th-valid-action
+    shortest-path profile, its benevolent descent (polling [budget]
+    every step), the j-th-valid-action
     uniform profiles, and [seeds] (default 4) pseudo-random valid
     profiles from a fixed linear congruential stream.  Every start is
     valid, which descent preserves, so fixpoints are always valid

@@ -159,7 +159,8 @@ let check_outcome g label (o : Bnb.outcome) =
     Result.map_error (fun e -> label ^ ": " ^ e) (Bnb.check g c)
   | None ->
     (* no optimality claim: the value must still be witnessed *)
-    if Extended.equal (Bncs.social_cost g o.profile) o.value then Ok ()
+    if Extended.equal (Bi_bayes.Bayesian.social_cost (Bncs.game g) o.profile) o.value
+    then Ok ()
     else Error (label ^ ": incumbent value differs from its social cost")
 
 let check_equilibria g label eqs =

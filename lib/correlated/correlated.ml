@@ -9,12 +9,13 @@ module Budget = Bi_engine.Budget
 
 type t = {
   game : Bncs.t;
-  bayes : Bayesian.t;
   states_ : int array array;  (* support type profiles, in prior order *)
   weights : Rat.t array;  (* p(t) per state, exact and positive *)
-  st_games : Strategic.t array;  (* memoized underlying game per state *)
   cols : (int * int array) array;  (* column -> (state, action profile) *)
   costs : Rat.t array;  (* K_t(a) per column; finite by validity *)
+  deltas : Rat.t array array array;
+      (* column -> player i -> k: C_i,t(a) - C_i,t(alt, a_-i) for the
+         k-th valid alternative of i's type at the column's state *)
   offset : int array;  (* length S+1: column range of each state *)
 }
 
@@ -23,12 +24,12 @@ type t = {
    cannot raise here. *)
 let fin = Extended.to_rat_exn
 
-let make game =
-  let bayes = Bncs.game game in
-  let entries = Dist.to_list (Bayesian.prior bayes) in
+(* Assemble the column blocks, pricing each column (its social cost and
+   every player's unilateral-deviation deltas) with [price]. *)
+let build game ~price =
+  let entries = Dist.to_list (Bayesian.prior (Bncs.game game)) in
   let states_ = Array.of_list (List.map fst entries) in
   let weights = Array.of_list (List.map snd entries) in
-  let st_games = Array.map (Bayesian.underlying_game bayes) states_ in
   let s = Array.length states_ in
   let offset = Array.make (s + 1) 0 in
   let blocks = ref [] in
@@ -41,24 +42,42 @@ let make game =
     blocks := block :: !blocks
   done;
   let cols = Array.of_list (List.concat (List.rev !blocks)) in
-  let costs =
-    Array.map
-      (fun (st, a) -> fin (Strategic.social_cost st_games.(st) a))
-      cols
-  in
-  { game; bayes; states_; weights; st_games; cols; costs; offset }
+  let priced = Array.map (fun (st, a) -> price st a) cols in
+  { game; states_; weights; cols; costs = Array.map fst priced;
+    deltas = Array.map snd priced; offset }
+
+(* The solver's pricing: one kernel load vector per column. *)
+let make game =
+  match Bncs.kernel game with
+  | Bi_ncs.Kernel.Packed ((module K), kg) ->
+    let load = Array.make (Bi_graph.Graph.n_edges (Bncs.graph game)) 0 in
+    build game ~price:(fun st a ->
+        let union, deltas = K.column kg load st a in
+        (K.state_rat kg union, Array.map (Array.map (K.state_rat kg)) deltas))
+
+(* The checker's pricing: the generic per-state strategic games. *)
+let make_generic game =
+  let bayes = Bncs.game game in
+  let support = Array.of_list (Dist.support (Bayesian.prior bayes)) in
+  let games = Array.map (Bayesian.underlying_game bayes) support in
+  build game ~price:(fun st a ->
+      let cost a i = fin (Strategic.cost games.(st) a i) in
+      let deltas =
+        Array.mapi
+          (fun i _ ->
+            Array.of_list
+              (List.map
+                 (fun alt ->
+                   let d = Array.copy a in
+                   d.(i) <- alt;
+                   Rat.sub (cost a i) (cost d i))
+                 (Bncs.valid_actions game i support.(st).(i))))
+          a
+      in
+      (fin (Strategic.social_cost games.(st) a), deltas))
 
 let states t = Array.length t.states_
 let columns t = Array.length t.cols
-
-(* Player cost of a column's action profile, and of its unilateral
-   deviations, through the per-state memoized game. *)
-let player_cost t st a i = fin (Strategic.cost t.st_games.(st) a i)
-
-let deviated a i alt =
-  let d = Array.copy a in
-  d.(i) <- alt;
-  d
 
 (* The support types of player [i], ascending. *)
 let support_types t i =
@@ -81,58 +100,39 @@ let support_types t i =
 
 let deviation_rows t concept =
   let n = Array.length t.cols in
-  let players = Bayesian.players t.bayes in
+  let players = Bncs.players t.game in
   let rows = ref [] in
   let push row nonzero = if nonzero then rows := row :: !rows in
+  (* The row of deviation [k] of (i, ti), over the columns [keep]
+     selects among those at states realizing ti. *)
+  let row_of i ti k keep =
+    let row = Array.make n Rat.zero in
+    let nonzero = ref false in
+    Array.iteri
+      (fun j (st, a) ->
+        if t.states_.(st).(i) = ti && keep a then begin
+          let delta = t.deltas.(j).(i).(k) in
+          if not (Rat.is_zero delta) then begin
+            row.(j) <- delta;
+            nonzero := true
+          end
+        end)
+      t.cols;
+    push row !nonzero
+  in
   for i = 0 to players - 1 do
     List.iter
       (fun ti ->
         let valid = Bncs.valid_actions t.game i ti in
         match concept with
         | Concept.Nash -> invalid_arg "Correlated.deviation_rows: Nash"
-        | Concept.Cce ->
-          List.iter
-            (fun alt ->
-              let row = Array.make n Rat.zero in
-              let nonzero = ref false in
-              Array.iteri
-                (fun j (st, a) ->
-                  if t.states_.(st).(i) = ti then begin
-                    let delta =
-                      Rat.sub (player_cost t st a i)
-                        (player_cost t st (deviated a i alt) i)
-                    in
-                    if not (Rat.is_zero delta) then begin
-                      row.(j) <- delta;
-                      nonzero := true
-                    end
-                  end)
-                t.cols;
-              push row !nonzero)
-            valid
+        | Concept.Cce -> List.iteri (fun k _ -> row_of i ti k (fun _ -> true)) valid
         | Concept.Comm ->
           List.iter
             (fun rec_ ->
-              List.iter
-                (fun alt ->
-                  if alt <> rec_ then begin
-                    let row = Array.make n Rat.zero in
-                    let nonzero = ref false in
-                    Array.iteri
-                      (fun j (st, a) ->
-                        if t.states_.(st).(i) = ti && a.(i) = rec_ then begin
-                          let delta =
-                            Rat.sub (player_cost t st a i)
-                              (player_cost t st (deviated a i alt) i)
-                          in
-                          if not (Rat.is_zero delta) then begin
-                            row.(j) <- delta;
-                            nonzero := true
-                          end
-                        end)
-                      t.cols;
-                    push row !nonzero
-                  end)
+              List.iteri
+                (fun k alt ->
+                  if alt <> rec_ then row_of i ti k (fun a -> a.(i) = rec_))
                 valid)
             valid)
       (support_types t i)
@@ -222,7 +222,7 @@ let check game report =
   match report.concept with
   | Concept.Nash -> Error "nash reports carry no LP certificates"
   | Concept.Cce | Concept.Comm ->
-    let t = make game in
+    let t = make_generic game in
     if report.states <> states t then Error "state count mismatch"
     else if report.columns <> columns t then Error "column count mismatch"
     else begin

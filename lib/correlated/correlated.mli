@@ -34,9 +34,13 @@ open Bi_num
 
 type t
 (** The compiled LP data of one game: support states, per-state valid
-    action-profile column blocks, exact column costs. *)
+    action-profile column blocks, exact column costs and deviation
+    deltas. *)
 
 val make : Bi_ncs.Bayesian_ncs.t -> t
+(** Prices every column through the game's evaluation kernel
+    ({!Bi_ncs.Bayesian_ncs.kernel}); {!check} re-derives the same data
+    through the generic per-state strategic games instead. *)
 
 val states : t -> int
 val columns : t -> int

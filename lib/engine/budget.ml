@@ -1,7 +1,7 @@
 exception Expired
 
 type t = {
-  deadline : float; (* absolute Unix time; [infinity] = unlimited *)
+  deadline : int; (* monotonic nanoseconds; [max_int] = unlimited *)
   mutable ticks : int;
       (* unsynchronized poll counter shared across domains: lost updates
          only postpone the next clock poll, never correctness *)
@@ -9,27 +9,34 @@ type t = {
 
 let poll_mask = 0xFF
 
-let unlimited = { deadline = infinity; ticks = 0 }
+let unlimited = { deadline = max_int; ticks = 0 }
 
-let of_deadline deadline = { deadline; ticks = 0 }
-
+(* Timeouts too long to add to the clock without wrapping saturate just
+   below [max_int]: still limited, but they never expire in practice. *)
 let of_timeout_ms ms =
   if ms <= 0 then invalid_arg "Budget.of_timeout_ms: timeout must be positive";
-  of_deadline (Unix.gettimeofday () +. (float_of_int ms /. 1000.))
+  let now = Clock.now_ns () in
+  let deadline =
+    if ms >= (max_int - 1 - now) / 1_000_000 then max_int - 1
+    else now + (ms * 1_000_000)
+  in
+  { deadline; ticks = 0 }
 
-let is_limited b = b.deadline < infinity
+let is_limited b = b.deadline < max_int
 
-let expired b = b.deadline < infinity && Unix.gettimeofday () > b.deadline
+let expired b = b.deadline < max_int && Clock.now_ns () > b.deadline
 
 let check b =
-  if b.deadline < infinity then begin
+  if b.deadline < max_int then begin
     b.ticks <- b.ticks + 1;
-    if b.ticks land poll_mask = 0 && Unix.gettimeofday () > b.deadline then
+    if b.ticks land poll_mask = 0 && Clock.now_ns () > b.deadline then
       raise Expired
   end
 
+let polls b = b.ticks
+
 let remaining_ms b =
-  if b.deadline = infinity then None
+  if b.deadline = max_int then None
   else
-    Some
-      (max 0 (int_of_float (ceil ((b.deadline -. Unix.gettimeofday ()) *. 1000.))))
+    let left = b.deadline - Clock.now_ns () in
+    Some (if left <= 0 then 0 else ((left - 1) / 1_000_000) + 1)

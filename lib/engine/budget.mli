@@ -1,6 +1,7 @@
-(** Cooperative wall-clock budgets for the exhaustive solvers.
+(** Cooperative time budgets for the solvers.
 
-    A budget is an absolute deadline polled from inside solver loops:
+    A budget is an absolute deadline on the monotonic {!Clock}, polled
+    from inside solver loops:
     {!check} increments a counter and compares the clock only once per
     [2^8] calls, so enforcement costs one [land] and one branch per
     profile instead of a syscall.  When the deadline passes, {!check}
@@ -22,12 +23,10 @@ val unlimited : t
 (** Never expires; {!check} is a single branch. *)
 
 val of_timeout_ms : int -> t
-(** [of_timeout_ms ms] expires [ms] milliseconds from now.
+(** [of_timeout_ms ms] expires [ms] milliseconds from now.  A timeout
+    too long for the clock (e.g. [max_int]) saturates: the budget stays
+    limited but does not expire.
     @raise Invalid_argument when [ms <= 0]. *)
-
-val of_deadline : float -> t
-(** [of_deadline t] expires at absolute Unix time [t] (seconds, as
-    returned by [Unix.gettimeofday]). *)
 
 val is_limited : t -> bool
 (** [false] only for {!unlimited}. *)
@@ -35,6 +34,10 @@ val is_limited : t -> bool
 val check : t -> unit
 (** Cheap poll: raises {!Expired} when the deadline has passed.  Only
     every 256th call consults the clock. *)
+
+val polls : t -> int
+(** How many times {!check} ran on a limited budget (approximate when
+    domains share it); zero for {!unlimited}. *)
 
 val expired : t -> bool
 (** Consults the clock immediately (no counter); never raises. *)

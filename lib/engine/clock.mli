@@ -1,0 +1,11 @@
+(** The monotonic clock behind every deadline and duration.
+
+    Wall-clock time can step (NTP, an operator, a suspended VM), which
+    would expire or stretch every deadline in flight; this clock only
+    moves forward.  Readings are comparable within one process only. *)
+
+val now_ns : unit -> int
+(** Nanoseconds since an arbitrary fixed origin; never decreases. *)
+
+val since : int -> float
+(** Seconds elapsed since a {!now_ns} reading. *)

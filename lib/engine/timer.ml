@@ -1,5 +1,5 @@
 type t = {
-  wall : float;
+  wall : int; (* monotonic nanoseconds *)
   minor : float;
   major : float;
 }
@@ -12,14 +12,14 @@ type span = {
 
 let start () =
   let s = Gc.quick_stat () in
-  { wall = Unix.gettimeofday (); minor = s.Gc.minor_words; major = s.Gc.major_words }
+  { wall = Clock.now_ns (); minor = s.Gc.minor_words; major = s.Gc.major_words }
 
-let elapsed t0 = Unix.gettimeofday () -. t0.wall
+let elapsed t0 = Clock.since t0.wall
 
 let span t0 =
   let s = Gc.quick_stat () in
   {
-    seconds = Unix.gettimeofday () -. t0.wall;
+    seconds = Clock.since t0.wall;
     minor_words = s.Gc.minor_words -. t0.minor;
     major_words = s.Gc.major_words -. t0.major;
   }

@@ -1,9 +1,9 @@
-(** Wall-clock and allocation section timing.
+(** Elapsed-time and allocation section timing.
 
     One shared stopwatch for everything that reports elapsed time — the
     bench harness sections and the CLI construction runs — so durations
-    are measured and formatted the same way everywhere.  Alongside
-    wall-clock seconds, a span records the GC's minor- and major-heap
+    are measured (on the monotonic {!Clock}) and formatted the same way
+    everywhere.  Alongside elapsed seconds, a span records the GC's minor- and major-heap
     words allocated while it ran, which is how the bench footers show
     that a cache hit eliminates allocation and not just time.
 
@@ -14,7 +14,7 @@
 type t
 
 type span = {
-  seconds : float;  (** Wall-clock seconds. *)
+  seconds : float;  (** Elapsed seconds. *)
   minor_words : float;  (** Words allocated in the minor heap. *)
   major_words : float;  (** Words allocated in the major heap. *)
 }
@@ -22,13 +22,13 @@ type span = {
 val start : unit -> t
 
 val elapsed : t -> float
-(** Seconds of wall-clock time since [start]. *)
+(** Seconds elapsed since [start]. *)
 
 val span : t -> span
-(** Wall-clock seconds and words allocated since [start]. *)
+(** Elapsed seconds and words allocated since [start]. *)
 
 val timed : (unit -> 'a) -> 'a * span
-(** [timed f] runs [f ()] and returns its result with the wall-clock
+(** [timed f] runs [f ()] and returns its result with the elapsed
     seconds and allocated words it took.  Exceptions from [f] propagate. *)
 
 val pp_seconds : Format.formatter -> float -> unit

@@ -29,28 +29,38 @@ let make k =
   in
   { k = Array.map Array.copy k; v }
 
+let max_entries = 1_000_000
+
+(* K(s, t) is the kernel's union cost of state t under profile s: one
+   fill per strategy profile prices every type profile. *)
 let of_bayesian_ncs g =
-  let strategies = Array.of_seq (Bi_ncs.Bayesian_ncs.valid_strategy_profiles g) in
-  let game = Bi_ncs.Bayesian_ncs.game g in
-  let support = Array.of_list (Bi_prob.Dist.support (Bi_bayes.Bayesian.prior game)) in
-  let k =
-    Array.map
-      (fun s ->
-        Array.map
-          (fun tp ->
-            match Bi_bayes.Bayesian.social_cost_at game s tp with
-            | Extended.Fin c ->
-              if Rat.is_zero c then
-                invalid_arg
-                  "Section4.of_bayesian_ncs: type profile with zero optimal cost"
-              else c
-            | Extended.Inf ->
-              (* Valid profiles connect every agent; unreachable. *)
-              assert false)
-          support)
-      strategies
-  in
-  make k
+  let module Bncs = Bi_ncs.Bayesian_ncs in
+  let types = Array.length (Bi_ncs.Kernel.states (Bncs.shape g)) in
+  let entries = Bncs.valid_profile_count g *. float_of_int types in
+  if entries > float_of_int max_entries then
+    invalid_arg
+      (Printf.sprintf
+         "Section4.of_bayesian_ncs: the cost matrix would hold %.0f entries \
+          (%.0f strategy profiles x %d type profiles), over the limit of %d"
+         entries (Bncs.valid_profile_count g) types max_entries);
+  match Bncs.kernel g with
+  | Bi_ncs.Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg in
+    let k =
+      Array.of_seq
+        (Seq.map
+           (fun s ->
+             (* Valid profiles connect every agent, so every fill hits. *)
+             if not (K.fill kg sc s) then assert false;
+             Array.init types (fun st ->
+                 let c = K.state_rat kg (K.union_at kg sc st) in
+                 if Rat.is_zero c then
+                   invalid_arg
+                     "Section4.of_bayesian_ncs: type profile with zero optimal cost"
+                 else c))
+           (Bncs.valid_strategy_profiles g))
+    in
+    make k
 
 let n_strategies t = Array.length t.k
 let n_type_profiles t = Array.length t.v

@@ -34,11 +34,16 @@ val make : Rat.t array array -> t
     [v(t) = 0] would make the ratio 0/0).
     @raise Invalid_argument on empty or non-positive input. *)
 
+val max_entries : int
+(** The largest cost matrix {!of_bayesian_ncs} builds: [10{^6}] entries. *)
+
 val of_bayesian_ncs : Bi_ncs.Bayesian_ncs.t -> t
 (** Rows: valid strategy profiles; columns: prior support.  The prior's
     probabilities are discarded — Section 4 quantifies over all priors.
-    @raise Invalid_argument if some type profile has zero optimal cost
-    (e.g. all agents absent). *)
+    Each [K(s,t)] is priced through the game's evaluation kernel.
+    @raise Invalid_argument before building anything when the matrix
+    would exceed {!max_entries} (the message names both sizes), or if
+    some type profile has zero optimal cost (e.g. all agents absent). *)
 
 val n_strategies : t -> int
 val n_type_profiles : t -> int

@@ -17,15 +17,11 @@ type t = {
   game : Bayesian.t;
   prior_pairs : (int * int) array Dist.t;
   complete_memo : ((int * int) list, Complete.t) Hashtbl.t;
-  (* Solver-side precomputation: the exhaustive searches evaluate every
-     valid strategy profile, so paths are kept as int arrays, validity as
-     a table, and the prior support as an indexed array with, per (agent,
-     type), the support states where that type is realized. *)
-  edge_arrays : int array array array; (* player -> action -> edge ids *)
-  edge_cost : Rat.t array;
-  valid_tbl : bool array array array; (* player -> type -> action *)
-  support_w : (int array * Rat.t) array; (* lowered prior, Dist order *)
-  states_by_type : int array array array; (* player -> type -> state idxs *)
+  (* The solvers' view: paths as edge arrays, validity, the prior's
+     support as indexed states, lowered once into the evaluation
+     kernel's int or Rat instance. *)
+  shape : Kernel.shape;
+  kernel : Kernel.packed;
 }
 
 let dedup_keep_order xs =
@@ -124,30 +120,18 @@ let make graph ~prior =
       ~n_actions:(Array.map Array.length actions)
       ~prior:prior_types ~cost
   in
-  let edge_arrays = Array.map (Array.map Array.of_list) actions in
-  let edge_cost = Array.init (Graph.n_edges graph) (Graph.cost graph) in
-  let valid_tbl =
-    Array.init players (fun i ->
-        Array.map
-          (fun valid_ais ->
-            let row = Array.make (Array.length actions.(i)) false in
-            List.iter (fun ai -> row.(ai) <- true) valid_ais;
-            row)
-          valid.(i))
-  in
-  let support_w = Array.of_list (Dist.to_list prior_types) in
-  let states_by_type =
-    Array.init players (fun i ->
-        Array.init (Array.length types.(i)) (fun ti ->
-            let idxs = ref [] in
-            Array.iteri
-              (fun sidx (t, _) -> if t.(i) = ti then idxs := sidx :: !idxs)
-              support_w;
-            Array.of_list (List.rev !idxs)))
+  let support = Dist.to_list prior_types in
+  let shape =
+    Kernel.shape ~n_edges:(Graph.n_edges graph)
+      ~cost:(Array.init (Graph.n_edges graph) (Graph.cost graph))
+      ~paths:(Array.map (Array.map Array.of_list) actions)
+      ~valid
+      ~states:(Array.of_list (List.map fst support))
+      ~weights:(Array.of_list (List.map snd support))
   in
   { graph; players; types; actions; valid; game;
     prior_pairs = prior; complete_memo = Hashtbl.create 32;
-    edge_arrays; edge_cost; valid_tbl; support_w; states_by_type }
+    shape; kernel = Kernel.lower shape }
 
 let graph g = g.graph
 let players g = g.players
@@ -185,154 +169,8 @@ let complete_game g pair_profile =
     Hashtbl.add g.complete_memo key c;
     c
 
-(* Incremental profile evaluation.  [scratch] is caller-owned: a load
-   matrix with one vector per prior-support state, filled once per
-   strategy profile, after which social costs read the loaded edges
-   directly and the equilibrium predicate prices deviations as deltas
-   (remove the deviator's path from her type's states, cost each
-   candidate at load + 1, restore); plus two reusable rational
-   accumulators — [racc] for inner per-path/per-state sums and [wacc]
-   for the weighted sums layered over them — so the evaluation allocates
-   no intermediate rationals.  All quantities stay exact, so every value
-   and comparison agrees with the generic [Bayesian] evaluation. *)
-
-type scratch = { loads : int array array; racc : Rat.Acc.t; wacc : Rat.Acc.t }
-
-let make_scratch g =
-  {
-    loads = Array.make_matrix (Array.length g.support_w) (Graph.n_edges g.graph) 0;
-    racc = Rat.Acc.create ();
-    wacc = Rat.Acc.create ();
-  }
-
-(* Fill the per-state load vectors for profile [s].  Returns false when
-   some realized action fails to connect its type's terminals; callers
-   then fall back to the generic evaluation, which prices those states at
-   infinity.  (Profiles from [valid_strategy_profiles] always pass.) *)
-let fill_loads g loads s =
-  let ok = ref true in
-  Array.iteri
-    (fun sidx (t, _) ->
-      let load = loads.(sidx) in
-      Array.fill load 0 (Array.length load) 0;
-      Array.iteri
-        (fun i ti ->
-          let ai = s.(i).(ti) in
-          if not g.valid_tbl.(i).(ti).(ai) then ok := false;
-          let es = g.edge_arrays.(i).(ai) in
-          for k = 0 to Array.length es - 1 do
-            let e = es.(k) in
-            load.(e) <- load.(e) + 1
-          done)
-        t)
-    g.support_w;
-  !ok
-
-(* Expected union cost: per state, every player pays her shared costs,
-   which telescope to the plain cost of the loaded edge set. *)
-let expected_union_cost g sc =
-  Rat.Acc.clear sc.wacc;
-  Array.iteri
-    (fun sidx (_, w) ->
-      let load = sc.loads.(sidx) in
-      Rat.Acc.clear sc.racc;
-      for e = 0 to Array.length load - 1 do
-        if load.(e) > 0 then Rat.Acc.add sc.racc g.edge_cost.(e)
-      done;
-      Rat.Acc.add_mul sc.wacc w (Rat.Acc.to_rat sc.racc))
-    g.support_w;
-  Rat.Acc.to_rat sc.wacc
-
-(* Inner path sums run through [sc.racc] (cleared per call); callers
-   layering weighted sums over them use [sc.wacc]. *)
-let path_cost_loaded g sc load es =
-  Rat.Acc.clear sc.racc;
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    Rat.Acc.add_div_int sc.racc g.edge_cost.(e) load.(e)
-  done;
-  Rat.Acc.to_rat sc.racc
-
-let deviation_cost_loaded g sc load es =
-  Rat.Acc.clear sc.racc;
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    Rat.Acc.add_div_int sc.racc g.edge_cost.(e) (load.(e) + 1)
-  done;
-  Rat.Acc.to_rat sc.racc
-
-let add_path_loaded load es =
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    load.(e) <- load.(e) + 1
-  done
-
-let remove_path_loaded load es =
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    load.(e) <- load.(e) - 1
-  done
-
-(* Equilibrium predicate against filled loads, for profiles valid on the
-   whole support.  Interim costs are compared with unnormalized
-   conditional weights (the prior weights of the states where (i, ti) is
-   realized): dividing by the positive marginal rescales both sides of
-   every comparison, so the verdict matches the generic predicate.
-   Invalid deviations carry infinite interim cost there and can never
-   improve on a finite current cost, so they are skipped.  The loads are
-   restored before returning. *)
-let is_eq_loaded g sc s =
-  let rec player i =
-    if i >= g.players then true else typ i 0
-  and typ i ti =
-    if ti >= Array.length g.types.(i) then player (i + 1)
-    else begin
-      let states = g.states_by_type.(i).(ti) in
-      (* No support state realizes (i, ti): no interim constraint. *)
-      if Array.length states = 0 then typ i (ti + 1)
-      else begin
-        let ai = s.(i).(ti) in
-        let mine = g.edge_arrays.(i).(ai) in
-        Rat.Acc.clear sc.wacc;
-        Array.iter
-          (fun sidx ->
-            let _, w = g.support_w.(sidx) in
-            Rat.Acc.add_mul sc.wacc w (path_cost_loaded g sc sc.loads.(sidx) mine))
-          states;
-        let current = Rat.Acc.to_rat sc.wacc in
-        Array.iter (fun sidx -> remove_path_loaded sc.loads.(sidx) mine) states;
-        let improving = ref false in
-        let nact = Array.length g.edge_arrays.(i) in
-        let ai' = ref 0 in
-        while (not !improving) && !ai' < nact do
-          let a = !ai' in
-          if a <> ai && g.valid_tbl.(i).(ti).(a) then begin
-            let cand = g.edge_arrays.(i).(a) in
-            Rat.Acc.clear sc.wacc;
-            Array.iter
-              (fun sidx ->
-                let _, w = g.support_w.(sidx) in
-                Rat.Acc.add_mul sc.wacc w
-                  (deviation_cost_loaded g sc sc.loads.(sidx) cand))
-              states;
-            if Rat.( < ) (Rat.Acc.to_rat sc.wacc) current then improving := true
-          end;
-          incr ai'
-        done;
-        Array.iter (fun sidx -> add_path_loaded sc.loads.(sidx) mine) states;
-        if !improving then false else typ i (ti + 1)
-      end
-    end
-  in
-  player 0
-
-let is_equilibrium_with g sc s =
-  if fill_loads g sc.loads s then is_eq_loaded g sc s
-  else Bayesian.is_bayesian_equilibrium g.game s
-
-let social_cost_with g sc s =
-  if fill_loads g sc.loads s then Extended.of_rat (expected_union_cost g sc)
-  else Bayesian.social_cost g.game s
+let shape g = g.shape
+let kernel g = g.kernel
 
 (* Agent [i]'s valid strategies: one valid action per type, in the order
    [valid_strategy_profiles] enumerates them. *)
@@ -355,14 +193,15 @@ let valid_strategy_profiles g =
    are reduced in shard order — so value, witnessing profile and
    tie-breaking all coincide with the sequential left-to-right scan over
    [valid_strategy_profiles], whatever the pool size.  Each shard owns
-   one scratch block handed to its scoring function. *)
-let sharded_search ?pool ?(budget = Budget.unlimited) ~monoid ~score g =
+   one kernel scratch (a load vector per support state) handed to its
+   scoring function. *)
+let sharded_search ?pool ?(budget = Budget.unlimited) ~scratch ~monoid ~score g =
   let rest =
     List.init (g.players - 1) (fun j ->
         Array.to_list (player_strategies g (j + 1)))
   in
   let eval s0 =
-    let sc = make_scratch g in
+    let sc = scratch () in
     Seq.fold_left
       (fun acc tail ->
         Budget.check budget;
@@ -379,31 +218,45 @@ let sharded_search ?pool ?(budget = Budget.unlimited) ~monoid ~score g =
   | Some pool when Pool.size pool > 1 -> Reduce.map_reduce pool ~monoid eval shards
   | _ -> Reduce.fold monoid (Array.map eval shards)
 
+(* Valid profiles fill without a miss, by construction. *)
+let fill_valid fill sc s = if not (fill sc s) then assert false
+
 let bayesian_equilibria g =
-  let sc = make_scratch g in
-  Seq.filter (is_equilibrium_with g sc) (valid_strategy_profiles g)
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg in
+    Seq.filter
+      (fun s ->
+        fill_valid (K.fill kg) sc s;
+        K.is_equilibrium kg sc s)
+      (valid_strategy_profiles g)
 
+(* A profile playing an invalid action at some realized type leaves that
+   player's cost, and so the social cost, infinite. *)
 let social_cost g s =
-  let sc = make_scratch g in
-  social_cost_with g sc s
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg in
+    if K.fill kg sc s then Extended.of_rat (K.social_rat kg (K.social_cost kg sc))
+    else Extended.Inf
 
+(* The Rosenthal potential per state, priced from scratch: the oracle
+   the descent laws watch fall. *)
 let bayesian_potential g s =
-  let load = Array.make (Graph.n_edges g.graph) 0 in
-  let acc = Rat.Acc.create () in
-  Dist.expectation
-    (fun t ->
-      Array.fill load 0 (Array.length load) 0;
-      Array.iteri
-        (fun j tj ->
-          List.iter (fun e -> load.(e) <- load.(e) + 1) g.actions.(j).(s.(j).(tj)))
-        t;
-      Rat.Acc.clear acc;
-      Array.iteri
-        (fun e l ->
-          if l > 0 then Rat.Acc.add_mul acc g.edge_cost.(e) (Rat.harmonic l))
-        load;
-      Rat.Acc.to_rat acc)
-    (Bayesian.prior g.game)
+  let rosenthal _ a =
+    let load = Array.make (Graph.n_edges g.graph) 0 in
+    Array.iteri
+      (fun j aj -> List.iter (fun e -> load.(e) <- load.(e) + 1) g.actions.(j).(aj))
+      a;
+    let acc = ref Rat.zero in
+    Array.iteri
+      (fun e l ->
+        if l > 0 then
+          acc := Rat.add !acc (Rat.mul (Graph.cost g.graph e) (Rat.harmonic l)))
+      load;
+    !acc
+  in
+  Bayesian.bayesian_potential g.game rosenthal s
 
 let shortest_path_profile g =
   Array.init g.players (fun i ->
@@ -452,59 +305,67 @@ let worst_eq_c ?pool ?budget g =
   expect_eq_c (fun c -> Complete.worst_equilibrium ?pool ?budget c) g
 
 let opt_p_exhaustive ?pool ?budget g =
-  match
-    sharded_search ?pool ?budget
-      ~monoid:(Reduce.first_min ~cmp:Extended.compare)
-      ~score:(fun sc s -> Some (Some (s, social_cost_with g sc s)))
-      g
-  with
-  | Some (s, c) -> (c, s)
-  | None -> assert false
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) -> (
+    match
+      sharded_search ?pool ?budget
+        ~scratch:(fun () -> K.scratch kg)
+        ~monoid:(Reduce.first_min ~cmp:K.compare)
+        ~score:(fun sc s ->
+          fill_valid (K.fill kg) sc s;
+          Some (Some (s, K.social_cost kg sc)))
+        g
+    with
+    | Some (s, c) -> (Extended.of_rat (K.social_rat kg c), s)
+    | None -> assert false)
 
-(* Equilibrium scoring against a shard-owned load matrix: one fill per
+(* Equilibrium sweeps against a shard-owned kernel scratch: one fill per
    profile serves the predicate (delta deviations) and the social cost
-   (loaded-edge sums).  Profiles invalid somewhere on the support fall
-   back to the generic evaluation; [valid_strategy_profiles] never
-   produces one. *)
-let eq_score_loaded g sc s =
-  if fill_loads g sc.loads s then begin
-    if is_eq_loaded g sc s then Some (Extended.of_rat (expected_union_cost g sc))
-    else None
-  end
-  else if Bayesian.is_bayesian_equilibrium g.game s then
-    Some (Bayesian.social_cost g.game s)
-  else None
+   (loaded-edge sums); the winners' costs leave the kernel as rationals. *)
+let extreme_eq_p ?pool ?budget ~worst g =
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let monoid =
+      if worst then Reduce.first_max ~cmp:K.compare else Reduce.first_min ~cmp:K.compare
+    in
+    Option.map
+      (fun (s, c) -> (Extended.of_rat (K.social_rat kg c), s))
+      (sharded_search ?pool ?budget
+         ~scratch:(fun () -> K.scratch kg)
+         ~monoid
+         ~score:(fun sc s ->
+           fill_valid (K.fill kg) sc s;
+           if K.is_equilibrium kg sc s then Some (Some (s, K.social_cost kg sc))
+           else None)
+         g)
 
-let extreme_eq_p ?pool ?budget monoid g =
-  Option.map
-    (fun (s, c) -> (c, s))
-    (sharded_search ?pool ?budget ~monoid
-       ~score:(fun sc s ->
-         Option.map (fun c -> Some (s, c)) (eq_score_loaded g sc s))
-       g)
-
-let best_eq_p ?pool ?budget g =
-  extreme_eq_p ?pool ?budget (Reduce.first_min ~cmp:Extended.compare) g
-
-let worst_eq_p ?pool ?budget g =
-  extreme_eq_p ?pool ?budget (Reduce.first_max ~cmp:Extended.compare) g
+let best_eq_p ?pool ?budget g = extreme_eq_p ?pool ?budget ~worst:false g
+let worst_eq_p ?pool ?budget g = extreme_eq_p ?pool ?budget ~worst:true g
 
 (* Best and worst Bayesian equilibrium in a single sweep: the equilibrium
    predicate dominates the cost of the scan, so fusing the two extreme
    searches halves the work of [measures_exhaustive]. *)
 let eq_extremes ?pool ?budget g =
-  sharded_search ?pool ?budget
-    ~monoid:
-      (Reduce.both
-         (Reduce.first_min ~cmp:Extended.compare)
-         (Reduce.first_max ~cmp:Extended.compare))
-    ~score:(fun sc s ->
-      Option.map
-        (fun c ->
-          let cell = Some (s, c) in
-          (cell, cell))
-        (eq_score_loaded g sc s))
-    g
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let out = Option.map (fun (s, c) -> (Extended.of_rat (K.social_rat kg c), s)) in
+    let best, worst =
+      sharded_search ?pool ?budget
+        ~scratch:(fun () -> K.scratch kg)
+        ~monoid:
+          (Reduce.both
+             (Reduce.first_min ~cmp:K.compare)
+             (Reduce.first_max ~cmp:K.compare))
+        ~score:(fun sc s ->
+          fill_valid (K.fill kg) sc s;
+          if K.is_equilibrium kg sc s then begin
+            let cell = Some (s, K.social_cost kg sc) in
+            Some (cell, cell)
+          end
+          else None)
+        g
+    in
+    (out best, out worst)
 
 type analysis = {
   report : Measures.report;
@@ -520,15 +381,15 @@ let analyze ?pool ?budget g =
     report =
       {
         Measures.opt_p;
-        best_eq_p = Option.map snd best;
-        worst_eq_p = Option.map snd worst;
+        best_eq_p = Option.map fst best;
+        worst_eq_p = Option.map fst worst;
         opt_c = opt_c ?pool ?budget g;
         best_eq_c = best_eq_c ?pool ?budget g;
         worst_eq_c = worst_eq_c ?pool ?budget g;
       };
     opt_p_witness;
-    best_eq_p_witness = Option.map fst best;
-    worst_eq_p_witness = Option.map fst worst;
+    best_eq_p_witness = Option.map snd best;
+    worst_eq_p_witness = Option.map snd worst;
   }
 
 let measures_exhaustive ?pool g = (analyze ?pool g).report

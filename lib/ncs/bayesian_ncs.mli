@@ -54,6 +54,16 @@ val state_action_profiles : t -> int array -> int array Seq.t
     distribution.
     @raise Invalid_argument when [t] has the wrong length. *)
 
+val shape : t -> Kernel.shape
+(** The solvers' view of the game: action paths as edge arrays, per-type
+    validity, the prior's support states (in {!Bi_prob.Dist} order of the
+    lowered prior) and their weights. *)
+
+val kernel : t -> Kernel.packed
+(** {!shape} lowered once, at {!make}, into the evaluation kernel: the
+    [int] instance when the 62-bit bound holds, else the [Rat] one.
+    Every solver tier prices profiles through it. *)
+
 val complete_game : t -> (int * int) array -> Complete.t
 (** The underlying complete-information NCS game for a pair profile;
     memoized. *)
@@ -71,10 +81,14 @@ val bayesian_equilibria : t -> Bi_bayes.Bayesian.strategy_profile Seq.t
     which is exact — see above). *)
 
 val social_cost : t -> Bi_bayes.Bayesian.strategy_profile -> Extended.t
+(** Through the kernel; infinite when a realized type plays an action
+    that does not connect its terminals. *)
 
 val bayesian_potential : t -> Bi_bayes.Bayesian.strategy_profile -> Rat.t
 (** [E_p[sum_e c(e) H(load_e)]] — the Bayesian potential of
-    Observation 2.1 instantiated with the Rosenthal potential. *)
+    Observation 2.1 instantiated with the Rosenthal potential, priced
+    from scratch through the generic game (an oracle, not a solver
+    path). *)
 
 val equilibrium_by_dynamics :
   ?max_steps:int -> t -> Bi_bayes.Bayesian.strategy_profile option

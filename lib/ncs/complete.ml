@@ -9,8 +9,9 @@ type t = {
   graph : Graph.t;
   pairs : (int * int) array;
   path_table : int list array array; (* agent -> action index -> edge ids *)
-  edge_arrays : int array array array; (* path_table with paths as int arrays *)
-  edge_cost : Rat.t array; (* edge id -> cost, avoids Graph.cost lookups *)
+  (* The solvers' view: a one-state, one-type game lowered into the
+     evaluation kernel, every path valid for its agent. *)
+  kernel : Kernel.packed;
 }
 
 let make graph pairs =
@@ -29,9 +30,16 @@ let make graph pairs =
         Array.of_list ps)
       pairs
   in
-  let edge_arrays = Array.map (Array.map Array.of_list) path_table in
-  let edge_cost = Array.init (Graph.n_edges graph) (Graph.cost graph) in
-  { graph; pairs; path_table; edge_arrays; edge_cost }
+  let players = Array.length pairs in
+  let shape =
+    Kernel.shape ~n_edges:(Graph.n_edges graph)
+      ~cost:(Array.init (Graph.n_edges graph) (Graph.cost graph))
+      ~paths:(Array.map (Array.map Array.of_list) path_table)
+      ~valid:(Array.map (fun tbl -> [| List.init (Array.length tbl) Fun.id |]) path_table)
+      ~states:[| Array.make players 0 |]
+      ~weights:[| Rat.one |]
+  in
+  { graph; pairs; path_table; kernel = Kernel.lower shape }
 
 let graph g = g.graph
 let players g = Array.length g.pairs
@@ -47,116 +55,40 @@ let profile_count g =
     (fun acc row -> acc *. float_of_int (Array.length row))
     1.0 g.path_table
 
-(* Load-vector plumbing.  The exhaustive solvers evaluate millions of
-   profiles, so cost queries are phrased against caller-owned scratch —
-   a load vector filled once per profile and adjusted by deltas for
-   deviations, plus a reusable rational accumulator so the per-edge cost
-   sums allocate no intermediate rationals. *)
-
-type scratch = { load : int array; racc : Rat.Acc.t }
-
-let scratch g = { load = Array.make (Graph.n_edges g.graph) 0; racc = Rat.Acc.create () }
-
-let fill_loads g load profile =
-  Array.fill load 0 (Array.length load) 0;
-  Array.iteri
-    (fun i ai ->
-      let es = g.edge_arrays.(i).(ai) in
-      for k = 0 to Array.length es - 1 do
-        let e = es.(k) in
-        load.(e) <- load.(e) + 1
-      done)
-    profile
-
-let add_path_loads load es =
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    load.(e) <- load.(e) + 1
-  done
-
-let remove_path_loads load es =
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    load.(e) <- load.(e) - 1
-  done
-
-(* Shared cost of a path under [sc.load]; every edge of the path must
-   already be counted in the loads.  Summed through [sc.racc], snapshot
-   returned — identical to the term-by-term fold, no intermediates. *)
-let path_cost_under g sc es =
-  Rat.Acc.clear sc.racc;
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    Rat.Acc.add_div_int sc.racc g.edge_cost.(e) sc.load.(e)
-  done;
-  Rat.Acc.to_rat sc.racc
-
-(* Shared cost the deviating agent would pay on candidate path [es]
-   when [sc.load] counts everyone else (the deviator joins each edge). *)
-let deviation_cost_under g sc es =
-  Rat.Acc.clear sc.racc;
-  for k = 0 to Array.length es - 1 do
-    let e = es.(k) in
-    Rat.Acc.add_div_int sc.racc g.edge_cost.(e) (sc.load.(e) + 1)
-  done;
-  Rat.Acc.to_rat sc.racc
-
-let social_cost_of_loads g sc =
-  Rat.Acc.clear sc.racc;
-  for e = 0 to Array.length sc.load - 1 do
-    if sc.load.(e) > 0 then Rat.Acc.add sc.racc g.edge_cost.(e)
-  done;
-  Rat.Acc.to_rat sc.racc
-
-(* Nash test against filled loads: agent [i]'s deviation to any other
-   path is costed as a delta — her current path leaves the loads, the
-   candidate joins them — and the loads are restored before return. *)
-let is_nash_under g sc profile =
-  let k = Array.length g.pairs in
-  let rec player i =
-    if i >= k then true
-    else begin
-      let table = g.edge_arrays.(i) in
-      let mine = table.(profile.(i)) in
-      let current = path_cost_under g sc mine in
-      remove_path_loads sc.load mine;
-      let rec scan j =
-        if j >= Array.length table then true
-        else if j = profile.(i) then scan (j + 1)
-        else if Rat.( < ) (deviation_cost_under g sc table.(j)) current then false
-        else scan (j + 1)
-      in
-      let ok = scan 0 in
-      add_path_loads sc.load mine;
-      ok && player (i + 1)
-    end
-  in
-  player 0
-
 let loads g profile =
   let load = Array.make (Graph.n_edges g.graph) 0 in
-  fill_loads g load profile;
+  Array.iteri
+    (fun i ai -> List.iter (fun e -> load.(e) <- load.(e) + 1) g.path_table.(i).(ai))
+    profile;
   load
 
+(* Player costs and the potential priced from scratch: the reference
+   definitions (and the strategic-form oracle below); the social cost
+   and the solvers price through the kernel. *)
 let player_cost g profile i =
-  let sc = scratch g in
-  fill_loads g sc.load profile;
-  path_cost_under g sc g.edge_arrays.(i).(profile.(i))
+  let load = loads g profile in
+  Rat.sum
+    (List.map
+       (fun e -> Rat.div_int (Graph.cost g.graph e) load.(e))
+       (action_edges g profile i))
+
+(* Every path is valid for its agent, so a fill never misses. *)
+let fill_paths fill sc s = if not (fill sc s) then assert false
 
 let social_cost g profile =
-  let sc = scratch g in
-  fill_loads g sc.load profile;
-  social_cost_of_loads g sc
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg and s = Array.map (fun a -> [| a |]) profile in
+    fill_paths (K.fill kg) sc s;
+    K.social_rat kg (K.social_cost kg sc)
 
 let potential g profile =
-  let sc = scratch g in
-  fill_loads g sc.load profile;
-  Rat.Acc.clear sc.racc;
+  let acc = ref Rat.zero in
   Array.iteri
     (fun e l ->
-      if l > 0 then Rat.Acc.add_mul sc.racc g.edge_cost.(e) (Rat.harmonic l))
-    sc.load;
-  Rat.Acc.to_rat sc.racc
+      if l > 0 then acc := Rat.add !acc (Rat.mul (Graph.cost g.graph e) (Rat.harmonic l)))
+    (loads g profile);
+  !acc
 
 let to_strategic g =
   Bi_game.Strategic.make ~players:(players g)
@@ -172,9 +104,10 @@ let profile_space g =
    sequentially, and shards are reduced in index order, so the winner —
    value and profile alike — is the one the plain left-to-right scan over
    [profile_space] would pick, for any pool size.  Each shard owns one
-   scratch block — load vector plus rational accumulator — filled per
-   profile and delta-adjusted for deviation checks. *)
-let sharded_search ?pool ?(budget = Budget.unlimited) ~monoid ~score g =
+   kernel scratch, filled per profile through a one-type strategy
+   profile ([s.(i).(0)] = agent [i]'s path), with deviations priced as
+   deltas against it. *)
+let sharded_search ?pool ?(budget = Budget.unlimited) ~scratch ~monoid ~score g =
   let k = players g in
   let rest =
     Array.map
@@ -182,13 +115,14 @@ let sharded_search ?pool ?(budget = Budget.unlimited) ~monoid ~score g =
       (Array.sub g.path_table 1 (k - 1))
   in
   let eval a0 =
-    let sc = scratch g in
+    let sc = scratch () and s = Array.init k (fun _ -> [| 0 |]) in
     Seq.fold_left
       (fun acc tail ->
         Budget.check budget;
         let profile = Array.make k a0 in
         Array.blit tail 0 profile 1 (k - 1);
-        match score sc profile with
+        Array.iteri (fun i a -> s.(i).(0) <- a) profile;
+        match score sc s profile with
         | None -> acc
         | Some v -> monoid.Reduce.combine acc v)
       monoid.Reduce.empty
@@ -200,16 +134,19 @@ let sharded_search ?pool ?(budget = Budget.unlimited) ~monoid ~score g =
   | _ -> Reduce.fold monoid (Array.map eval shards)
 
 let optimum ?pool ?budget g =
-  match
-    sharded_search ?pool ?budget
-      ~monoid:(Reduce.first_min ~cmp:Rat.compare)
-      ~score:(fun sc p ->
-        fill_loads g sc.load p;
-        Some (Some (p, social_cost_of_loads g sc)))
-      g
-  with
-  | Some (a, c) -> (c, a)
-  | None -> assert false
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) -> (
+    match
+      sharded_search ?pool ?budget
+        ~scratch:(fun () -> K.scratch kg)
+        ~monoid:(Reduce.first_min ~cmp:K.compare)
+        ~score:(fun sc s p ->
+          fill_paths (K.fill kg) sc s;
+          Some (Some (p, K.social_cost kg sc)))
+        g
+    with
+    | Some (a, c) -> (K.social_rat kg c, a)
+    | None -> assert false)
 
 let optimum_rooted g =
   let root, _ = g.pairs.(0) in
@@ -260,32 +197,36 @@ let best_response g profile i =
        !best)
 
 let is_nash g profile =
-  let sc = scratch g in
-  fill_loads g sc.load profile;
-  is_nash_under g sc profile
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let sc = K.scratch kg and s = Array.map (fun a -> [| a |]) profile in
+    fill_paths (K.fill kg) sc s;
+    K.is_equilibrium kg sc s
 
 let nash_equilibria g = Seq.filter (is_nash g) (profile_space g)
 
 (* Equilibrium scoring for the sharded searches: one load fill per
    profile serves both the Nash predicate (delta deviations) and the
    social cost (union of loaded edges). *)
-let nash_score g sc p =
-  fill_loads g sc.load p;
-  if is_nash_under g sc p then Some (Some (p, social_cost_of_loads g sc)) else None
+let extreme_equilibrium ?pool ?budget ~worst g =
+  match g.kernel with
+  | Kernel.Packed ((module K), kg) ->
+    let monoid =
+      if worst then Reduce.first_max ~cmp:K.compare else Reduce.first_min ~cmp:K.compare
+    in
+    Option.map
+      (fun (a, c) -> (K.social_rat kg c, a))
+      (sharded_search ?pool ?budget
+         ~scratch:(fun () -> K.scratch kg)
+         ~monoid
+         ~score:(fun sc s p ->
+           fill_paths (K.fill kg) sc s;
+           if K.is_equilibrium kg sc s then Some (Some (p, K.social_cost kg sc))
+           else None)
+         g)
 
-let best_equilibrium ?pool ?budget g =
-  Option.map
-    (fun (a, c) -> (c, a))
-    (sharded_search ?pool ?budget
-       ~monoid:(Reduce.first_min ~cmp:Rat.compare)
-       ~score:(nash_score g) g)
-
-let worst_equilibrium ?pool ?budget g =
-  Option.map
-    (fun (a, c) -> (c, a))
-    (sharded_search ?pool ?budget
-       ~monoid:(Reduce.first_max ~cmp:Rat.compare)
-       ~score:(nash_score g) g)
+let best_equilibrium ?pool ?budget g = extreme_equilibrium ?pool ?budget ~worst:false g
+let worst_equilibrium ?pool ?budget g = extreme_equilibrium ?pool ?budget ~worst:true g
 
 let equilibrium_by_dynamics ?(max_steps = 100_000) g start =
   let profile = Array.copy start in

@@ -9,7 +9,9 @@
     alone (payments are monotone in the bought set and the social cost is
     the union cost), so solvers work over the finite space of simple
     paths.  With this reduction optima, equilibria and the Rosenthal
-    potential are all computed exactly. *)
+    potential are all computed exactly.  The exhaustive solvers price
+    profiles through {!Kernel}, lowering the game once at {!make} as a
+    one-state, one-type game. *)
 
 open Bi_num
 
@@ -34,11 +36,16 @@ val loads : t -> int array -> int array
 (** Edge id -> number of agents whose path uses it. *)
 
 val player_cost : t -> int array -> int -> Rat.t
+(** Priced from scratch: the reference definition the tests hold the
+    kernel to. *)
+
 val social_cost : t -> int array -> Rat.t
-(** Total cost of the union of bought edges (the paper's [K_t]). *)
+(** Total cost of the union of bought edges (the paper's [K_t]), priced
+    through the evaluation kernel like every solver of this module. *)
 
 val potential : t -> int array -> Rat.t
-(** Rosenthal potential [sum_e c(e) * H(load(e))]. *)
+(** Rosenthal potential [sum_e c(e) * H(load(e))], priced from
+    scratch. *)
 
 val to_strategic : t -> Bi_game.Strategic.t
 

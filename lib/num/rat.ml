@@ -214,18 +214,6 @@ module Acc = struct
         (B.mul (B.div x.den g2) (B.div y.den g1))
     end
 
-  (* Fused [a += x/n] for integer [n] — the shape of every load-vector
-     cost term (edge cost over congestion). *)
-  let add_div_int a (x : rat) n =
-    if n = 0 then raise Division_by_zero;
-    if not (B.is_zero x.num) then begin
-      let nb = B.of_int (Stdlib.abs n) in
-      let g = B.gcd x.num nb in
-      let num = B.div x.num g in
-      let num = if Stdlib.( < ) n 0 then B.neg num else num in
-      add_frac a num (B.mul x.den (B.div nb g))
-    end
-
   let to_rat a =
     let n = B.Acc.to_t a.nacc in
     if B.is_zero n then zero else make n a.den

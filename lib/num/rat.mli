@@ -105,10 +105,6 @@ module Acc : sig
   (** [add_mul a x y] adds [x*y] into [a] without building the
       intermediate product rational. *)
 
-  val add_div_int : t -> rat -> int -> unit
-  (** [add_div_int a x n] adds [x/n] into [a] — the shape of every
-      load-vector cost term.  @raise Division_by_zero if [n = 0]. *)
-
   val to_rat : t -> rat
   (** Snapshot the current value as a canonical rational.  The
       accumulator is unchanged and may keep accumulating. *)

@@ -349,7 +349,7 @@ let handle_query t ~budget ~chaos_delay_ms query =
 let handle_line t ~chaos_delay_ms line =
   Metrics.request t.metrics;
   Metrics.enter t.metrics;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bi_engine.Clock.now_ns () in
   let response, disposition =
     match Protocol.parse_request line with
     | Error e ->
@@ -366,7 +366,7 @@ let handle_line t ~chaos_delay_ms line =
         Metrics.error t.metrics;
         (Protocol.error (Printexc.to_string exn), `Continue))
   in
-  Metrics.leave t.metrics ~seconds:(Unix.gettimeofday () -. t0);
+  Metrics.leave t.metrics ~seconds:(Bi_engine.Clock.since t0);
   (response, disposition)
 
 (* One protocol exchange, including the chaos transport decision: a

@@ -116,6 +116,100 @@ let prop_bnb_matches_exhaustive_opt =
          | Some c -> Bnb.check g c = Ok ()
          | None -> false))
 
+(* --- cross-tier law --- *)
+
+module Kernel = Ncs.Kernel
+module Graph = Graphs.Graph
+
+let within (b : Solve.bracket) v = Extended.(b.Solve.lo <= v && v <= b.Solve.hi)
+
+let brackets_contain_exhaustive g =
+  let exact = (Bncs.analyze g).Bncs.report in
+  let cert = Solve.certify g in
+  let inside b = function Some v -> within b v | None -> false in
+  Solve.check g cert = Ok ()
+  && within cert.Solve.opt_p_bracket exact.Bayes.Measures.opt_p
+  && inside cert.Solve.best_eq_p exact.Bayes.Measures.best_eq_p
+  && inside cert.Solve.worst_eq_p exact.Bayes.Measures.worst_eq_p
+  && within cert.Solve.opt_c exact.Bayes.Measures.opt_c
+  && inside cert.Solve.best_eq_c exact.Bayes.Measures.best_eq_c
+  && inside cert.Solve.worst_eq_c exact.Bayes.Measures.worst_eq_c
+
+(* Each game runs once on the int instance and once, with every cost
+   scaled past 2^62, on the Rat instance. *)
+let prop_certified_brackets_contain_exhaustive =
+  QCheck2.Test.make
+    ~name:"certified brackets contain the exhaustive values, on either kernel instance"
+    ~count:30
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let d = Random_games.description seed in
+      let g = Random_games.game d in
+      let huge = Random_games.game ~scale:Random_games.past_word d in
+      Bncs.valid_profile_count g > 3000.
+      || Kernel.instance (Bncs.kernel g) = "int"
+         && (Random_games.free d || Kernel.instance (Bncs.kernel huge) = "rat")
+         && brackets_contain_exhaustive g
+         && brackets_contain_exhaustive huge)
+
+(* The search meets its incumbent in the kernel's ring by an exact
+   ceiling: with incumbents that are infinite, a hair above the optimum,
+   off the scaled grid, or just below the optimum, the int instance and
+   the Rat instance (the same game with every cost times 2^62) expand
+   the same tree and find the same value. *)
+let test_bnb_incumbents_agree_across_instances () =
+  List.iter
+    (fun (name, k) ->
+      let g = construction name k in
+      let graph = Bncs.graph g in
+      let huge =
+        Bncs.make
+          (Graph.make (Graph.kind graph) ~n:(Graph.n_vertices graph)
+             (List.map
+                (fun (e : Graph.edge) -> (e.src, e.dst, Rat.mul Random_games.past_word e.cost))
+                (Graph.edges graph)))
+          ~prior:(Bncs.prior g)
+      in
+      Alcotest.(check (pair string string)) "instances" ("int", "rat")
+        (Kernel.instance (Bncs.kernel g), Kernel.instance (Bncs.kernel huge));
+      let base = Bnb.optimum g in
+      let scale v = Extended.mul_rat Random_games.past_word v in
+      List.iter
+        (fun v ->
+          let o = Bnb.optimum ~incumbent:(v, base.Bnb.profile) g in
+          let o' = Bnb.optimum ~incumbent:(scale v, base.Bnb.profile) huge in
+          Alcotest.(check int) "nodes" o.Bnb.nodes o'.Bnb.nodes;
+          Alcotest.(check bool) "value scales" true
+            (Extended.equal (scale o.Bnb.value) o'.Bnb.value);
+          Alcotest.(check bool) "both certified" true
+            (o.Bnb.certificate <> None && o'.Bnb.certificate <> None))
+        [ Extended.Inf;
+          Extended.add base.Bnb.value
+            (Extended.of_rat (Rat.make Bigint.one (Bigint.pow (Bigint.of_int 10) 30)));
+          Extended.add base.Bnb.value (Extended.of_rat (Rat.of_ints 1 7));
+          Extended.mul_rat (Rat.of_ints 3 2) base.Bnb.value;
+          Extended.add base.Bnb.value (Extended.of_rat (Rat.of_ints (-1) 1000)) ])
+    [ ("gworst-curse", 3); ("anshelevich", 5) ]
+
+(* Every solver loop the certified tier runs on the kernel polls the
+   budget it is given. *)
+let test_certified_loops_poll () =
+  let g = construction "gworst-curse" 3 in
+  let polled f =
+    let b = Bi_engine.Budget.of_timeout_ms 600_000 in
+    f b;
+    Bi_engine.Budget.polls b > 0
+  in
+  let start = List.hd (Descent.starts g) in
+  Alcotest.(check bool) "descent polls" true
+    (polled (fun budget -> ignore (Descent.descend ~budget g start)));
+  Alcotest.(check bool) "benevolent start polls" true
+    (polled (fun budget -> ignore (Descent.starts ~budget g)));
+  Alcotest.(check bool) "branch and bound polls" true
+    (polled (fun budget ->
+         ignore
+           (Bnb.optimum ~budget ~incumbent:(Bncs.social_cost g start, start) g)))
+
 (* --- tamper rejection --- *)
 
 let rejected = function Ok () -> false | Error _ -> true
@@ -251,6 +345,7 @@ let qtests =
       prop_fixpoints_are_equilibria;
       prop_descent_certificates_check;
       prop_bnb_matches_exhaustive_opt;
+      prop_certified_brackets_contain_exhaustive;
     ]
 
 let () =
@@ -266,6 +361,10 @@ let () =
             test_solve_check_and_tamper;
           Alcotest.test_case "constructions certify" `Quick
             test_solve_on_constructions;
+          Alcotest.test_case "solver loops poll the budget" `Quick
+            test_certified_loops_poll;
+          Alcotest.test_case "branch-and-bound incumbents agree across instances"
+            `Quick test_bnb_incumbents_agree_across_instances;
         ] );
       ( "bounds",
         [

@@ -445,6 +445,56 @@ let test_parse_jobs () =
   (* putenv cannot unset; leave the default behind for later tests *)
   Unix.putenv "BI_JOBS" "1"
 
+(* --- budgets on the monotonic clock --- *)
+
+(* The deadline sits on a clock that never steps back, so the time left
+   only shrinks, reaching zero exactly when the budget expires. *)
+let test_budget_remaining_never_increases () =
+  let module Budget = Bi_engine.Budget in
+  let b = Budget.of_timeout_ms 30 in
+  let rec watch prev =
+    match Budget.remaining_ms b with
+    | None -> Alcotest.fail "a limited budget reports its remaining time"
+    | Some ms ->
+      if ms > prev then Alcotest.failf "remaining_ms rose from %d to %d" prev ms;
+      if ms > 0 then watch ms
+  in
+  watch max_int;
+  let give_up = Bi_engine.Clock.now_ns () + 1_000_000_000 in
+  while (not (Budget.expired b)) && Bi_engine.Clock.now_ns () < give_up do
+    ()
+  done;
+  Alcotest.(check bool) "expires once nothing remains" true (Budget.expired b);
+  Alcotest.(check (option int)) "and stays at zero" (Some 0) (Budget.remaining_ms b);
+  let clock = ref (Bi_engine.Clock.now_ns ()) in
+  for _ = 1 to 10_000 do
+    let now = Bi_engine.Clock.now_ns () in
+    if now < !clock then Alcotest.fail "the clock stepped back";
+    clock := now
+  done;
+  Alcotest.(check bool) "unlimited has no deadline" true
+    (Budget.remaining_ms Budget.unlimited = None)
+
+(* A timeout too long to add to the clock (clients send 2^53 - 1 or
+   max_int to mean "no limit") saturates instead of wrapping into the
+   past: the budget stays limited, unexpired, with time left. *)
+let test_budget_huge_timeout_saturates () =
+  let module Budget = Bi_engine.Budget in
+  List.iter
+    (fun ms ->
+      let b = Budget.of_timeout_ms ms in
+      let what = string_of_int ms in
+      Alcotest.(check bool) (what ^ " is limited") true (Budget.is_limited b);
+      Alcotest.(check bool) (what ^ " is not expired") false (Budget.expired b);
+      for _ = 1 to 1_000 do
+        Budget.check b
+      done;
+      match Budget.remaining_ms b with
+      | Some left when left > 0 -> ()
+      | Some left -> Alcotest.failf "%s: remaining_ms %d" what left
+      | None -> Alcotest.failf "%s: no remaining time" what)
+    [ 9_007_199_254_740_991; max_int / 1_000_000; max_int ]
+
 let parser_qtests =
   List.map QCheck_alcotest.to_alcotest [ prop_parse_print_roundtrip ]
 
@@ -487,6 +537,13 @@ let () =
           Alcotest.test_case "nested and empty ranges" `Quick
             test_pool_nested_and_empty;
           Alcotest.test_case "jobs validation" `Quick test_parse_jobs;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "remaining time never increases" `Quick
+            test_budget_remaining_never_increases;
+          Alcotest.test_case "huge timeouts saturate" `Quick
+            test_budget_huge_timeout_saturates;
         ] );
       ( "graph-store",
         [

@@ -194,6 +194,62 @@ let prop_randomized_guarantee_beats_best_pure_sometimes =
       done;
       Rat.( <= ) (S4.randomized_guarantee phi sol.S4.mixture) !best_pure)
 
+(* The K matrix of a constructed game: sized against the limit before
+   anything is built, and priced like the generic game prices it. *)
+let affine k =
+  match Bi_constructions.Registry.build "affine" k with
+  | Ok g -> g
+  | Error e -> Alcotest.fail e
+
+let contains msg part =
+  let n = String.length part and m = String.length msg in
+  let rec go i = i + n <= m && (String.sub msg i n = part || go (i + 1)) in
+  go 0
+
+let limit_phrase = Printf.sprintf "limit of %d" S4.max_entries
+
+let test_size_guard () =
+  (match S4.of_bayesian_ncs (affine 3) with
+  | _ -> Alcotest.fail "affine k=3 was built"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "names the size" true (contains msg "72 type profiles");
+    Alcotest.(check bool) "names the limit" true (contains msg limit_phrase));
+  let g = affine 2 in
+  let phi = S4.of_bayesian_ncs g in
+  Alcotest.(check (pair int int)) "affine k=2 is 6561 x 12" (6561, 12)
+    (S4.n_strategies phi, S4.n_type_profiles phi);
+  let game = Bncs.game g in
+  let support = Array.of_list (Dist.support (Bi_bayes.Bayesian.prior game)) in
+  Seq.iteri
+    (fun i s ->
+      Array.iteri
+        (fun j t ->
+          Alcotest.check rat "K(s,t) = generic social cost"
+            (Extended.to_rat_exn (Bi_bayes.Bayesian.social_cost_at game s t))
+            (S4.cost phi i j))
+        support)
+    (Bncs.valid_strategy_profiles g);
+  let sol = S4.solve phi in
+  accepted phi sol;
+  Alcotest.check rat "R~ = R" (rr 7 3) sol.S4.value
+
+(* The CLI turns the guard into exit 2 with the message on stderr. *)
+let test_cli_size_guard () =
+  let bi =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/bi.exe"
+  in
+  let err = Filename.temp_file "sec4" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s sec4 affine -k 3 > /dev/null 2> %s" (Filename.quote bi)
+         (Filename.quote err))
+  in
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check bool) "message names the limit" true
+    (contains msg "error:" && contains msg limit_phrase)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -217,6 +273,8 @@ let () =
           Alcotest.test_case "proposition 4.2" `Quick test_proposition_4_2;
           Alcotest.test_case "positive costs" `Quick test_positive_costs_required;
           Alcotest.test_case "from Bayesian NCS" `Quick test_of_bayesian_ncs;
+          Alcotest.test_case "cost matrix size guard" `Quick test_size_guard;
+          Alcotest.test_case "bi sec4 exits 2 past the guard" `Quick test_cli_size_guard;
         ] );
       ("properties", qtests);
     ]

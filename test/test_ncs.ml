@@ -337,6 +337,191 @@ let prop_bayesian_fast_eval_matches_generic =
              Extended.equal (Bncs.social_cost g s) (Bayesian.social_cost game s))
            (Bncs.valid_strategy_profiles g))
 
+(* --- The evaluation kernel ---
+
+   Both kernel instances against the generic lowered Bayesian game, on
+   the shared random games, a quarter of them with every cost scaled
+   past 2^62 so the int lowering must refuse. *)
+
+module Kernel = Bi_ncs.Kernel
+module Pool = Bi_engine.Pool
+module Budget = Bi_engine.Budget
+
+let random_kernel_game seed =
+  let d = Random_games.description seed in
+  if seed mod 4 = 0 then Random_games.game ~scale:Random_games.past_word d
+  else Random_games.game d
+
+(* Mostly valid actions, sometimes any action, so the invalid-profile
+   semantics (infinite interim and social costs) are exercised too. *)
+let random_profile rng g =
+  Array.init (Bncs.players g) (fun i ->
+      Array.init
+        (Array.length (Bncs.types g i))
+        (fun ti ->
+          if Random.State.int rng 4 = 0 then
+            Random.State.int rng (Array.length (Bncs.actions g i))
+          else begin
+            let vs = Bncs.valid_actions g i ti in
+            List.nth vs (Random.State.int rng (List.length vs))
+          end))
+
+let with_action s i ti a =
+  let s' = Array.map Array.copy s in
+  s'.(i).(ti) <- a;
+  s'
+
+(* The certificate margins by definition, through the generic game. *)
+let generic_margins g s =
+  let bg = Bncs.game g in
+  let rec go i ti acc =
+    if i >= Bncs.players g then Ok (List.rev acc)
+    else if ti >= Bayesian.n_types bg i then go (i + 1) 0 acc
+    else
+      match Bayesian.interim_cost bg s i ti with
+      | None -> go i (ti + 1) acc
+      | Some (Extended.Inf) -> Error (i, ti)
+      | Some (Extended.Fin current) ->
+        let acc =
+          List.fold_left
+            (fun acc alt ->
+              if alt = s.(i).(ti) then acc
+              else
+                match Bayesian.interim_cost bg (with_action s i ti alt) i ti with
+                | Some (Extended.Fin c) -> (i, ti, s.(i).(ti), alt, Rat.sub c current) :: acc
+                | _ -> Alcotest.fail "a valid alternative priced infinite")
+            acc (Bncs.valid_actions g i ti)
+        in
+        go i (ti + 1) acc
+  in
+  go 0 0 []
+
+(* Every kernel answer for [s] equals the generic evaluation's. *)
+let kernel_agrees (type gm) (module K : Kernel.S with type game = gm) (kg : gm) g s =
+  let bg = Bncs.game g in
+  let sc = K.scratch kg in
+  let valid = K.fill kg sc s in
+  let social =
+    if valid then Extended.of_rat (K.social_rat kg (K.social_cost kg sc)) else Extended.Inf
+  in
+  let ok = ref (Extended.equal social (Bayesian.social_cost bg s)) in
+  ok := !ok && K.is_equilibrium kg sc s = Bayesian.is_bayesian_equilibrium bg s;
+  for i = 0 to Bncs.players g - 1 do
+    for ti = 0 to Array.length (Bncs.types g i) - 1 do
+      let mine =
+        Option.map
+          (fun (a, v) -> (a, Extended.of_rat (K.interim_rat kg i ti v)))
+          (K.best_deviation kg sc s i ti)
+      in
+      ok :=
+        !ok
+        && Option.equal
+             (fun (a, v) (b, w) -> a = b && Extended.equal v w)
+             mine
+             (Bayesian.best_type_deviation bg s i ti)
+    done
+  done;
+  let same_margins a b =
+    match (a, b) with
+    | Ok xs, Ok ys ->
+      List.length xs = List.length ys
+      && List.for_all2
+           (fun (i, ti, a, b, x) (j, tj, c, d, y) ->
+             i = j && ti = tj && a = c && b = d && Rat.equal x y)
+           xs ys
+    | Error e, Error f -> e = f
+    | _ -> false
+  in
+  ok := !ok && same_margins (K.margins kg sc s) (generic_margins g s);
+  if valid then ok := !ok && K.benevolent kg s = Bayesian.benevolent_descent bg s;
+  !ok
+
+let prop_kernel_instances_match_generic =
+  QCheck2.Test.make
+    ~name:"kernel int and rat instances = generic Bayesian evaluation"
+    ~count:120
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_kernel_game seed in
+      let sh = Bncs.shape g in
+      let rng = Random.State.make [| seed; 17 |] in
+      let profiles = List.init 4 (fun _ -> random_profile rng g) in
+      let fits = Bigint.compare (Kernel.bound sh) (Bigint.of_int max_int) <= 0 in
+      (* the game's own lowering is the one the bound picks: the int
+         instance when it fits, checked against the unscaled rat one *)
+      let (Kernel.Packed (k, kg) as own) = Bncs.kernel g in
+      Kernel.instance own = (if fits then "int" else "rat")
+      && List.for_all
+           (fun s ->
+             kernel_agrees (module Kernel.Q) (Kernel.lower_rat sh) g s
+             && kernel_agrees k kg g s)
+           profiles)
+
+(* One player, one type, one two-edge path: the union of that path is
+   the largest sum the kernel can form, and it equals the bound. *)
+let boundary_game c1 c2 =
+  let graph = Graph.make Directed ~n:3 [ (0, 1, c1); (1, 2, c2) ] in
+  Bncs.make graph ~prior:(Dist.point [| (0, 2) |])
+
+let test_kernel_boundary () =
+  let at_limit = boundary_game (r (max_int - 5)) (r 5) in
+  let past_limit =
+    boundary_game (Rat.of_bigint (Bigint.add (Bigint.of_int (max_int - 5)) Bigint.one)) (r 5)
+  in
+  Alcotest.(check string) "bound = max_int" (string_of_int max_int)
+    (Bigint.to_string (Kernel.bound (Bncs.shape at_limit)));
+  Alcotest.(check string) "int at the bound" "int" (Kernel.instance (Bncs.kernel at_limit));
+  Alcotest.(check string) "rat one past it" "rat" (Kernel.instance (Bncs.kernel past_limit));
+  (* the largest sum is formed without overflow *)
+  Alcotest.check ext "union at the bound" (Extended.of_rat (r max_int))
+    (Bncs.social_cost at_limit [| [| 0 |] |]);
+  (* weights count too: a free game whose prior needs a huge common
+     denominator cannot scale its weights into machine words *)
+  let weighted d =
+    Bncs.make
+      (Graph.make Directed ~n:2 [ (0, 1, Rat.zero) ])
+      ~prior:
+        (Dist.make
+           [ ([| (0, 1) |], Rat.make Bigint.one d);
+             ([| (1, 1) |], Rat.sub Rat.one (Rat.make Bigint.one d)) ])
+  in
+  let max_big = Bigint.of_int max_int in
+  Alcotest.(check string) "free game, weights at the bound" "int"
+    (Kernel.instance (Bncs.kernel (weighted max_big)));
+  Alcotest.(check string) "free game, weights past it" "rat"
+    (Kernel.instance (Bncs.kernel (weighted (Bigint.add max_big Bigint.one))))
+
+(* Sweeps shard by the leading agent's strategy: any pool size gives the
+   same values and witnesses, on either instance. *)
+let prop_kernel_pool_sizes =
+  QCheck2.Test.make ~name:"kernel sweeps identical for pool sizes one and two"
+    ~count:15
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_kernel_game seed in
+      Bncs.valid_profile_count g > 2000.
+      || Pool.with_pool 1 (fun p1 ->
+             Pool.with_pool 2 (fun p2 ->
+                 let a = Bncs.analyze ~pool:p1 g and b = Bncs.analyze ~pool:p2 g in
+                 a.Bncs.report = b.Bncs.report
+                 && a.Bncs.opt_p_witness = b.Bncs.opt_p_witness
+                 && a.Bncs.best_eq_p_witness = b.Bncs.best_eq_p_witness
+                 && a.Bncs.worst_eq_p_witness = b.Bncs.worst_eq_p_witness)))
+
+let test_kernel_sweeps_poll () =
+  let g = random_kernel_game 7 in
+  let polled f =
+    let b = Budget.of_timeout_ms 600_000 in
+    f b;
+    Budget.polls b > 0
+  in
+  Alcotest.(check bool) "bayesian sweep polls" true
+    (polled (fun budget -> ignore (Bncs.opt_p_exhaustive ~budget g)));
+  Alcotest.(check bool) "equilibrium sweep polls" true
+    (polled (fun budget -> ignore (Bncs.best_eq_p ~budget g)));
+  Alcotest.(check bool) "per-state sweeps poll" true
+    (polled (fun budget -> ignore (Bncs.best_eq_c ~budget g)))
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -349,6 +534,8 @@ let qtests =
       prop_bayesian_dynamics_reach_equilibrium;
       prop_incremental_nash_matches_scratch;
       prop_bayesian_fast_eval_matches_generic;
+      prop_kernel_instances_match_generic;
+      prop_kernel_pool_sizes;
     ]
 
 let () =
@@ -372,6 +559,12 @@ let () =
           Alcotest.test_case "dynamics & universal bounds" `Quick
             test_bayesian_ncs_dynamics_and_bounds;
           Alcotest.test_case "potential minimization" `Quick test_bayesian_potential_decreases;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "lowering refuses exactly past the machine word" `Quick
+            test_kernel_boundary;
+          Alcotest.test_case "sweeps poll the budget" `Quick test_kernel_sweeps_poll;
         ] );
       ("properties", qtests);
     ]

@@ -582,7 +582,6 @@ type rat_acc_op =
   | Radd of Rat.t
   | Rsub of Rat.t
   | Rmul of Rat.t * Rat.t
-  | Rdiv of Rat.t * int
 
 let rat_acc_op_gen =
   QCheck2.Gen.(
@@ -591,9 +590,6 @@ let rat_acc_op_gen =
         map (fun x -> Radd x) rat_gen;
         map (fun x -> Rsub x) rat_gen;
         map2 (fun x y -> Rmul (x, y)) rat_gen rat_gen;
-        map2
-          (fun x n -> Rdiv (x, if n = 0 then 7 else n))
-          rat_gen (int_range (-50) 50);
       ])
 
 let prop_rat_acc =
@@ -613,10 +609,7 @@ let prop_rat_acc =
               Rat.sub t x
             | Rmul (x, y) ->
               Rat.Acc.add_mul acc x y;
-              Rat.add t (Rat.mul x y)
-            | Rdiv (x, n) ->
-              Rat.Acc.add_div_int acc x n;
-              Rat.add t (Rat.div_int x n))
+              Rat.add t (Rat.mul x y))
           Rat.zero ops
       in
       let snap = Rat.Acc.to_rat acc in

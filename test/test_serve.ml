@@ -761,6 +761,11 @@ let test_deadline_exceeded () =
       (* without a deadline the same request completes despite the delay *)
       ignore
         (request_ok c (Protocol.construction_request ~name:"gworst-bliss" ~k:2 ()));
+      (* and so does one whose deadline is too long for the clock *)
+      ignore
+        (request_ok c
+           (Protocol.construction_request ~deadline_ms:9_007_199_254_740_991
+              ~name:"gworst-bliss" ~k:3 ()));
       ignore (request_ok c Protocol.shutdown_request);
       Client.close c)
 
