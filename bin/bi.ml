@@ -34,38 +34,37 @@ let ratio_json = function
   | None -> Sink.Null
   | Some r -> Sink.Str (Rat.to_string r)
 
-let construction_json ~name ~k ~fingerprint ~cached analysis =
-  let report = analysis.Bncs.report in
-  let ratios = Measures.ratios_of_report report in
+(* A construction record is the server's answer to the same request:
+   its fingerprint, cached flag and tier members after the ["ok"]
+   header, with the exhaustive tier's ratios and Observation 2.2
+   verdict appended. *)
+let construction_json ~name ~k response value =
+  let answer =
+    match response with Sink.Obj (_ok :: members) -> members | _ -> []
+  in
+  let extras =
+    match value with
+    | Cache.Service.Payload _ -> []
+    | Cache.Service.Analysis analysis ->
+      let report = analysis.Bncs.report in
+      let ratios = Measures.ratios_of_report report in
+      [
+        ( "ratios",
+          Sink.Obj
+            [
+              ("opt", ratio_json ratios.Measures.r_opt);
+              ("best_eq", ratio_json ratios.Measures.r_best_eq);
+              ("worst_eq", ratio_json ratios.Measures.r_worst_eq);
+            ] );
+        ("observation_2_2", Sink.Bool (Measures.observation_2_2_holds report));
+      ]
+  in
   Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("analysis", Cache.Codec.analysis_to_json analysis);
-      ( "ratios",
-        Obj
-          [
-            ("opt", ratio_json ratios.Measures.r_opt);
-            ("best_eq", ratio_json ratios.Measures.r_best_eq);
-            ("worst_eq", ratio_json ratios.Measures.r_worst_eq);
-          ] );
-      ("observation_2_2", Bool (Measures.observation_2_2_holds report));
-    ]
-
-let certified_construction_json ~name ~k ~fingerprint ~cached payload =
-  Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("mode", Str "certified");
-      ("certified", payload);
-    ]
+    ((("record", Sink.Str "construction")
+     :: ("construction", Sink.Str name)
+     :: ("k", Sink.Int k)
+     :: answer)
+    @ extras)
 
 (* Rendered from the JSON payload rather than the certificate record, so
    cached answers (where only the payload survives) print identically. *)
@@ -103,18 +102,6 @@ let print_certified payload =
     (if bool_of "bnb_certified" then "closed (optimum certified)"
      else "open (bracket only)")
     (int_of "bnb_nodes")
-
-let correlated_construction_json ~name ~k ~fingerprint ~cached ~concept payload =
-  Sink.Obj
-    [
-      ("record", Str "construction");
-      ("construction", Str name);
-      ("k", Int k);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("concept", Str (Correlated.Concept.to_string concept));
-      ("correlated", payload);
-    ]
 
 (* Rendered from the JSON payload rather than the report record, so
    cached answers (where only the payload survives) print identically. *)
@@ -160,122 +147,64 @@ let build_or_exit name k =
     Printf.eprintf "error: %s\n" msg;
     exit (if List.mem name Constructions.Registry.names then 2 else 1)
 
-(* The correlated concepts ignore the solver tier: there is a single LP
-   path, keyed on the concept-qualified fingerprint like the server's. *)
-let correlated_construction ~name ~k ~json ~fingerprint ~cache ~build_span
-    concept game =
-  let module Corr = Correlated.Correlated in
-  let key =
-    Cache.Fingerprint.with_concept fingerprint
-      ~concept:(Correlated.Concept.cache_tag concept)
-  in
-  let solve () =
-    let report = Corr.analyze ~concept game in
-    (match Corr.check game report with
-    | Ok () -> ()
-    | Error e ->
-      Printf.eprintf "error: correlated certificate rejected: %s\n" e;
-      exit 3);
-    Corr.to_json report
-  in
-  let (payload, cached), solve_span =
-    Engine.Timer.timed (fun () ->
-        match cache with
-        | None -> (solve (), false)
-        | Some c -> Cache.Service.payload c key solve)
-  in
-  if json then
-    print_endline
-      (Sink.to_string
-         (correlated_construction_json ~name ~k ~fingerprint:key ~cached
-            ~concept payload))
-  else begin
+let print_answer ~name ~k tier value =
+  match (tier, value) with
+  | _, Cache.Service.Analysis analysis ->
+    Printf.printf "construction %s, parameter %d\n\n" name k;
+    print_report analysis.Bncs.report
+  | Serve.Tier.Correlated concept, Cache.Service.Payload payload ->
     Printf.printf "construction %s, parameter %d (%s concept)\n\n" name k
       (Correlated.Concept.to_string concept);
-    print_correlated payload;
-    Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-      build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-      solve_span.Engine.Timer.seconds
-      (if cached then " (cached)" else "")
-  end
+    print_correlated payload
+  | _, Cache.Service.Payload payload ->
+    Printf.printf "construction %s, parameter %d (certified tier)\n\n" name k;
+    print_certified payload
 
+(* The server's tier dispatch, run locally: the same key, solver and
+   cached value, with every certificate re-checked (a rejection exits
+   3). *)
 let construction name k jobs json cache_path mode concept =
   Engine.Pool.with_pool (Engine.Pool.recommended_jobs jobs) (fun pool ->
       let game, build_span =
         Engine.Timer.timed (fun () -> build_or_exit name k)
       in
-      let fingerprint = Cache.Fingerprint.of_game game in
-      let mode =
-        Certify.Mode.resolve ~valid_profiles:(Bncs.valid_profile_count game)
-          mode
-      in
+      let tier = Serve.Tier.resolve (Serve.Tier.of_query ~mode ~concept) game in
+      let key = Serve.Tier.key tier (Cache.Fingerprint.of_game game) in
       let cache =
         Option.map (fun path -> Cache.Service.create ~store_path:path ()) cache_path
       in
-      (match concept with
-      | Correlated.Concept.Cce | Correlated.Concept.Comm ->
-        correlated_construction ~name ~k ~json ~fingerprint ~cache ~build_span
-          concept game
-      | Correlated.Concept.Nash ->
-      match mode with
-      | Certify.Mode.Auto -> assert false (* resolve never returns Auto *)
-      | Certify.Mode.Exhaustive ->
-        let (analysis, cached), solve_span =
-          Engine.Timer.timed (fun () ->
-              match cache with
-              | None -> (Bncs.analyze ~pool game, false)
-              | Some c ->
-                Cache.Service.analysis c fingerprint (fun () ->
-                    Bncs.analyze ~pool game))
-        in
-        if json then
-          print_endline
-            (Sink.to_string
-               (construction_json ~name ~k ~fingerprint ~cached analysis))
-        else begin
-          Printf.printf "construction %s, parameter %d\n\n" name k;
-          print_report analysis.Bncs.report;
-          Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-            build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-            solve_span.Engine.Timer.seconds
-            (if cached then " (cached)" else "")
-        end
-      | Certify.Mode.Certified ->
-        (* Tier-qualified key: certified answers never collide with
-           exhaustive cache entries for the same game. *)
-        let key =
-          Cache.Fingerprint.with_mode fingerprint
-            ~mode:(Certify.Mode.cache_tag Certify.Mode.Certified)
-        in
-        let solve () =
-          let cert = Certify.Solve.certify ~pool game in
-          (match Certify.Solve.check game cert with
-          | Ok () -> ()
-          | Error e ->
-            Printf.eprintf "error: certificate rejected: %s\n" e;
-            exit 3);
-          Certify.Solve.to_json cert
-        in
-        let (payload, cached), solve_span =
-          Engine.Timer.timed (fun () ->
-              match cache with
-              | None -> (solve (), false)
-              | Some c -> Cache.Service.payload c key solve)
-        in
-        if json then
-          print_endline
-            (Sink.to_string
-               (certified_construction_json ~name ~k ~fingerprint:key ~cached
-                  payload))
-        else begin
-          Printf.printf "construction %s, parameter %d (certified tier)\n\n"
-            name k;
-          print_certified payload;
-          Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
-            build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
-            solve_span.Engine.Timer.seconds
-            (if cached then " (cached)" else "")
-        end);
+      let solve () =
+        match Serve.Tier.solve ~pool ~verify:true tier game with
+        | Ok value -> value
+        | Error e ->
+          Printf.eprintf "error: %s\n" e;
+          exit 3
+      in
+      let (value, cached), solve_span =
+        Engine.Timer.timed (fun () ->
+            match cache with
+            | None -> (solve (), false)
+            | Some c -> (
+              match Cache.Service.find c key with
+              | Some value when Serve.Tier.matches tier value -> (value, true)
+              | Some _ | None ->
+                let value = solve () in
+                Cache.Service.insert c key value;
+                (value, false)))
+      in
+      if json then
+        print_endline
+          (Sink.to_string
+             (construction_json ~name ~k
+                (Serve.Tier.response tier ~fingerprint:key ~cached value)
+                value))
+      else begin
+        print_answer ~name ~k tier value;
+        Format.printf "@.[build: %a; solve: %a%s]@." Engine.Timer.pp_seconds
+          build_span.Engine.Timer.seconds Engine.Timer.pp_seconds
+          solve_span.Engine.Timer.seconds
+          (if cached then " (cached)" else "")
+      end;
       Option.iter Cache.Service.close cache);
   0
 
@@ -428,24 +357,6 @@ let retry_of ~retries ~retry_base_ms =
       }
 
 let query socket tcp verb name k deadline retries retry_base_ms mode concept =
-  let deadline_field =
-    match deadline with
-    | None -> []
-    | Some ms -> [ ("deadline_ms", Sink.Int ms) ]
-  in
-  (* Match the protocol builders: the default tier is never written, so
-     default-tier requests stay byte-identical to pre-mode ones. *)
-  let mode_field =
-    match mode with
-    | Certify.Mode.Exhaustive -> []
-    | m -> [ ("mode", Sink.Str (Certify.Mode.to_string m)) ]
-  in
-  (* Same convention for the solution concept: nash is never written. *)
-  let concept_field =
-    match concept with
-    | Correlated.Concept.Nash -> []
-    | c -> [ ("concept", Sink.Str (Correlated.Concept.to_string c)) ]
-  in
   let request =
     match verb with
     | "construction" -> (
@@ -459,9 +370,8 @@ let query socket tcp verb name k deadline retries retry_base_ms mode concept =
       match Sink.of_string (In_channel.input_all stdin) with
       | Ok game ->
         Ok
-          (Sink.Obj
-             ([ ("op", Sink.Str "analyze"); ("game", game) ]
-             @ mode_field @ concept_field @ deadline_field))
+          (Serve.Protocol.analyze_game_request ?deadline_ms:deadline ~mode
+             ~concept game)
       | Error e -> Error (Printf.sprintf "game description on stdin: %s" e))
     | "stats" -> Ok Serve.Protocol.stats_request
     | "health" -> Ok Serve.Protocol.health_request
@@ -695,6 +605,11 @@ let new_tally () =
     malformed = 0;
   }
 
+(* Soak stop times and readiness/exit deadlines are {!Engine.Clock}
+   readings, so a wall-clock step can neither stretch nor cut short a
+   soak or a wait. *)
+let passed deadline = Engine.Clock.now_ns () > deadline
+
 let garbage_probes =
   [|
     "{\"op\": \"analyze\", garbage";
@@ -746,7 +661,7 @@ let soak_worker ~connect ~stop_at ~seed ~retries tally =
     | Error Serve.Client.Closed ->
       tally.io_unresolved <- tally.io_unresolved + 1
   in
-  while Unix.gettimeofday () < stop_at do
+  while not (passed stop_at) do
     let u = draw () in
     tally.sent <- tally.sent + 1;
     if u < 0.55 then begin
@@ -797,7 +712,7 @@ let chaos_soak socket tcp clients seconds retries seed =
     | Some port -> Serve.Client.connect_tcp ~timeout_s:30. port
     | None -> Serve.Client.connect_unix ~timeout_s:30. socket
   in
-  let stop_at = Unix.gettimeofday () +. float_of_int seconds in
+  let stop_at = Engine.Clock.after_ms (seconds * 1000) in
   let tallies = Array.init clients (fun _ -> new_tally ()) in
   let workers =
     Array.mapi
@@ -863,7 +778,7 @@ let spawn_shard ?chaos ~dir ~port ~index () =
 
 let wait_shard_ready ~port ~deadline_at =
   let rec go () =
-    if Unix.gettimeofday () > deadline_at then false
+    if passed deadline_at then false
     else
       match Serve.Client.connect_tcp ~timeout_s:5. port with
       | exception Unix.Unix_error _ ->
@@ -884,12 +799,12 @@ let wait_shard_ready ~port ~deadline_at =
   in
   go ()
 
-let wait_exit ?(timeout_s = 10.) pid =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+let wait_exit pid =
+  let deadline = Engine.Clock.after_ms 10_000 in
   let rec go () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ ->
-      if Unix.gettimeofday () > deadline then begin
+      if passed deadline then begin
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
         try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
       end
@@ -1034,7 +949,7 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
         wait_exit pid)
       pids
   in
-  let ready_deadline = Unix.gettimeofday () +. 30. in
+  let ready_deadline = Engine.Clock.after_ms 30_000 in
   if
     not
       (Array.for_all
@@ -1105,11 +1020,11 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
           false
       in
       check "fingerprint_offline_match" (fp = warm_fp);
-      let t0 = Unix.gettimeofday () in
-      let stop_at = t0 +. float_of_int seconds in
-      let at frac = t0 +. (frac *. float_of_int seconds) in
+      let t0 = Engine.Clock.now_ns () in
+      let at frac = t0 + int_of_float (frac *. float_of_int seconds *. 1e9) in
+      let stop_at = at 1. in
       let sleep_until t =
-        let dt = t -. Unix.gettimeofday () in
+        let dt = float_of_int (t - Engine.Clock.now_ns ()) /. 1e9 in
         if dt > 0. then Thread.delay dt
       in
       let store_path i = Filename.concat dir (Printf.sprintf "shard-%d.jsonl" i) in
@@ -1183,7 +1098,7 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
         pids.(victim) <- spawn_shard ~dir ~port:ports.(victim) ~index:victim ();
         check "victim_restarted"
           (wait_shard_ready ~port:ports.(victim)
-             ~deadline_at:(Unix.gettimeofday () +. 20.))
+             ~deadline_at:(Engine.Clock.after_ms 20_000))
       in
       let timeline_th = Thread.create timeline () in
       let tallies = Array.init clients (fun _ -> new_tally ()) in
@@ -1217,7 +1132,7 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
         pids.(i) <- spawn_shard ~dir ~port:ports.(i) ~index:i ();
         ignore
           (wait_shard_ready ~port:ports.(i)
-             ~deadline_at:(Unix.gettimeofday () +. 20.)));
+             ~deadline_at:(Engine.Clock.after_ms 20_000)));
       (* The hint drain on the victim's recovery and the anti-entropy
          loop should converge the cluster on their own; give them a
          window, then let an explicit fsck --repair pass close any
@@ -1232,7 +1147,7 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
         in
         if r.Router.Fsck.unreachable = [] && r.Router.Fsck.divergent = []
         then r
-        else if Unix.gettimeofday () > deadline then begin
+        else if passed deadline then begin
           Printf.eprintf
             "cluster: %d divergent after self-healing window; running \
              repair pass\n%!"
@@ -1245,7 +1160,7 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
           converge deadline
         end
       in
-      let final_fsck = converge (Unix.gettimeofday () +. 20.) in
+      let final_fsck = converge (Engine.Clock.after_ms 20_000) in
       check "fsck_clean_after_repair"
         (final_fsck.Router.Fsck.unreachable = []
         && final_fsck.Router.Fsck.remaining = 0

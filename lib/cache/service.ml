@@ -126,11 +126,6 @@ let insert t k v =
       resident_add t.lru t.checks k v (Store.check_of (body_of v));
       persist t k v)
 
-let find_analysis t k =
-  match find t k with Some (Analysis a) -> Some a | Some (Payload _) | None -> None
-
-let insert_analysis t k a = insert t k (Analysis a)
-
 (* The thunk runs inside the lock: correctness first (a concurrent
    caller can never observe a missing entry being computed twice).  The
    server layer keeps its own in-flight table precisely so that long

@@ -40,9 +40,6 @@ val find : t -> string -> value option
 val insert : t -> string -> value -> unit
 (** Inserts and appends to the store when one is attached. *)
 
-val find_analysis : t -> string -> Bi_ncs.Bayesian_ncs.analysis option
-val insert_analysis : t -> string -> Bi_ncs.Bayesian_ncs.analysis -> unit
-
 val analysis :
   t -> string -> (unit -> Bi_ncs.Bayesian_ncs.analysis) ->
   Bi_ncs.Bayesian_ncs.analysis * bool

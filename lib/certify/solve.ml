@@ -294,9 +294,3 @@ let to_json cert =
           [ ("lambda", rat_json cert.smoothness.Smooth.lambda);
             ("mu", rat_json cert.smoothness.Smooth.mu) ] );
       ("potential_upper", rat_json cert.potential.Smooth.upper) ]
-
-let analyze ?pool ?budget ~mode g =
-  match Mode.resolve ~valid_profiles:(Bncs.valid_profile_count g) mode with
-  | Mode.Exhaustive -> `Exact (Bncs.analyze ?pool ?budget g)
-  | Mode.Certified -> `Certified (certify ?pool ?budget g)
-  | Mode.Auto -> assert false (* resolve never returns Auto *)

@@ -82,13 +82,3 @@ val to_json : certified -> Bi_engine.Sink.json
 (** The six brackets (exact rationals as strings, ["inf"] for the
     infinite end) plus engine counters — the payload served and cached
     for certified-tier queries. *)
-
-val analyze :
-  ?pool:Bi_engine.Pool.t ->
-  ?budget:Bi_engine.Budget.t ->
-  mode:Mode.t ->
-  Bi_ncs.Bayesian_ncs.t ->
-  [ `Exact of Bi_ncs.Bayesian_ncs.analysis | `Certified of certified ]
-(** Mode dispatch: [Exhaustive] defers to {!Bi_ncs.Bayesian_ncs.analyze},
-    [Certified] to {!certify}, and [Auto] resolves through
-    {!Mode.resolve} on the game's valid-profile count. *)

@@ -11,16 +11,11 @@ let poll_mask = 0xFF
 
 let unlimited = { deadline = max_int; ticks = 0 }
 
-(* Timeouts too long to add to the clock without wrapping saturate just
-   below [max_int]: still limited, but they never expire in practice. *)
+(* A timeout too long for the clock saturates just below [max_int]
+   ({!Clock.after_ms}): still limited, but it never expires in practice. *)
 let of_timeout_ms ms =
   if ms <= 0 then invalid_arg "Budget.of_timeout_ms: timeout must be positive";
-  let now = Clock.now_ns () in
-  let deadline =
-    if ms >= (max_int - 1 - now) / 1_000_000 then max_int - 1
-    else now + (ms * 1_000_000)
-  in
-  { deadline; ticks = 0 }
+  { deadline = Clock.after_ms ms; ticks = 0 }
 
 let is_limited b = b.deadline < max_int
 

@@ -9,3 +9,8 @@ val now_ns : unit -> int
 
 val since : int -> float
 (** Seconds elapsed since a {!now_ns} reading. *)
+
+val after_ms : int -> int
+(** The reading [ms] milliseconds from now.  A span too long to add
+    without wrapping saturates at [max_int - 1]: a deadline that never
+    passes in practice, still below [max_int]. *)

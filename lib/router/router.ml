@@ -1,6 +1,7 @@
 module Sink = Bi_engine.Sink
 module Client = Bi_serve.Client
 module Protocol = Bi_serve.Protocol
+module Tier = Bi_serve.Tier
 module Lineserver = Bi_serve.Lineserver
 module Lru = Bi_cache.Lru
 module Fingerprint = Bi_cache.Fingerprint
@@ -200,30 +201,25 @@ let candidates t fingerprint =
   let live, dead = List.partition (fun m -> not (down m)) owners in
   live @ dead
 
-let ok_from_front ~fingerprint analysis =
-  Sink.Obj
-    [
-      ("ok", Sink.Bool true);
-      ("fingerprint", Sink.Str fingerprint);
-      ("cached", Sink.Bool true);
-      ("analysis", analysis);
-    ]
-
 let no_shard_error fingerprint =
   Protocol.error
     (Printf.sprintf "no shard available for fingerprint %s" fingerprint)
 
 (* Forward an analysis request (as its original line, so deadline and
-   every other field ride along verbatim).  Failover policy: transport
-   failures and [overloaded] move to the next owner; [error] and
-   [deadline_exceeded] are deterministic verdicts and are returned
-   as-is — every shard would say the same, and the deadline belongs to
-   the client, not to the routing. *)
-let route_analysis t ~tick ~request ~fingerprint =
-  match front_find t fingerprint with
+   every other field ride along verbatim) on its tier's routing key.
+   Failover policy: transport failures and [overloaded] move to the
+   next owner; [error] and [deadline_exceeded] are deterministic
+   verdicts and are returned as-is — every shard would say the same,
+   and the deadline belongs to the client, not to the routing.  Only a
+   front-cacheable tier ({!Tier.front_cacheable}) is looked up in, and
+   stored to, the front cache and replicated; every other answer is
+   forwarded untouched. *)
+let route_analysis t ~tick ~request ~tier fingerprint =
+  let front = Tier.front_cacheable tier in
+  match if front then front_find t fingerprint else None with
   | Some analysis ->
     Metrics.front_hit t.metrics;
-    ok_from_front ~fingerprint analysis
+    Tier.front_hit ~fingerprint analysis
   | None ->
     let key_owners = owners t fingerprint in
     let rec attempt last failed = function
@@ -242,7 +238,7 @@ let route_analysis t ~tick ~request ~fingerprint =
         | Ok resp -> (
           match Protocol.response_code resp with
           | Some "ok" ->
-            (match Sink.member "analysis" resp with
+            (match if front then Tier.front_body resp else None with
             | Some analysis ->
               front_store t fingerprint analysis;
               let fresh =
@@ -345,53 +341,30 @@ let handle t ~tick line =
         Metrics.error t.metrics;
         (Protocol.error e, `Continue)
       | Ok { Protocol.query; _ } -> (
-        (* Routing keys are tier- and concept-qualified, so exhaustive,
-           certified and correlated answers for the same game live on
-           (possibly) different owners and never alias; certified and
-           correlated responses carry no ["analysis"] member, so the
-           front cache (which stores only that member) naturally
-           ignores them. *)
-        let mode_key fingerprint mode =
-          match mode with
-          | Bi_certify.Mode.Auto ->
-            (* The router never builds games, so it cannot resolve
-               [auto]; route on the certified key (deterministic for
-               any replica count) and let the owning shard resolve. *)
-            Fingerprint.with_mode fingerprint
-              ~mode:(Bi_certify.Mode.cache_tag Bi_certify.Mode.Certified)
-          | m -> Fingerprint.with_mode fingerprint ~mode:(Bi_certify.Mode.cache_tag m)
-        in
-        (* The correlated concepts ignore the solver tier (there is one
-           LP path, no exhaustive/certified split), so their routing key
-           qualifies the bare fingerprint — matching the shards' own
-           cache keys byte for byte. *)
-        let routing_key fingerprint ~mode ~concept =
-          match concept with
-          | Bi_correlated.Concept.Nash -> mode_key fingerprint mode
-          | c ->
-            Fingerprint.with_concept fingerprint
-              ~concept:(Bi_correlated.Concept.cache_tag c)
+        (* Routing keys are tier-qualified, so the tiers' answers for
+           the same game live on (possibly) different owners and never
+           alias. *)
+        let route fingerprint ~mode ~concept =
+          let tier = Tier.of_query ~mode ~concept in
+          ( route_analysis t ~tick ~request:line ~tier
+              (Tier.routing_key tier fingerprint),
+            `Continue )
         in
         match query with
         | Protocol.Analyze { graph; prior; mode; concept } ->
-          let fingerprint =
-            routing_key (Fingerprint.game graph ~prior) ~mode ~concept
-          in
-          (route_analysis t ~tick ~request:line ~fingerprint, `Continue)
+          route (Fingerprint.game graph ~prior) ~mode ~concept
         | Protocol.Construction { name; k; mode; concept } -> (
           match Fingerprint.of_construction name k with
           | Error e ->
             Metrics.error t.metrics;
             (Protocol.error e, `Continue)
-          | Ok fingerprint ->
-            let fingerprint = routing_key fingerprint ~mode ~concept in
-            (route_analysis t ~tick ~request:line ~fingerprint, `Continue))
+          | Ok fingerprint -> route fingerprint ~mode ~concept)
         | Protocol.Put { fingerprint; value } ->
           let kind, body =
             match value with
-            | Protocol.Put_analysis analysis ->
+            | Bi_cache.Service.Analysis analysis ->
               ("analysis", Bi_cache.Codec.analysis_to_json analysis)
-            | Protocol.Put_payload body -> ("payload", body)
+            | Bi_cache.Service.Payload body -> ("payload", body)
           in
           (route_put t ~tick ~fingerprint ~kind body, `Continue)
         | Protocol.Digest _ | Protocol.Pull _ ->

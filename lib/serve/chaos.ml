@@ -114,9 +114,12 @@ type t = {
   counter : int Atomic.t;
   (* Partition window: once opened, every connection in the next
      [partition_ms] is refused — a whole-node network event, not an
-     independent per-request coin flip.  Guarded by [window_lock]. *)
+     independent per-request coin flip.  An {!Bi_engine.Clock} reading,
+     so a wall-clock step can neither stretch nor cancel a window;
+     [min_int] (below every reading) while none has opened.  Guarded by
+     [window_lock]. *)
   window_lock : Mutex.t;
-  mutable partition_until : float;
+  mutable partition_until : int;
 }
 
 let config t = t.cfg
@@ -156,7 +159,7 @@ let response_action t =
 let connection_action t =
   if not (is_enabled t.cfg) then `Proceed
   else begin
-    let now = Unix.gettimeofday () in
+    let now = Bi_engine.Clock.now_ns () in
     let partitioned =
       t.cfg.partition_p > 0.
       && begin
@@ -166,7 +169,7 @@ let connection_action t =
              if inside then true
              else if draw t < t.cfg.partition_p then begin
                t.partition_until <-
-                 now +. (float_of_int t.cfg.partition_ms /. 1000.);
+                 Bi_engine.Clock.after_ms t.cfg.partition_ms;
                true
              end
              else false
@@ -198,7 +201,7 @@ let create cfg =
       cfg;
       counter = Atomic.make 0;
       window_lock = Mutex.create ();
-      partition_until = 0.;
+      partition_until = min_int;
     }
   in
   if cfg.corrupt_store_p > 0. then

@@ -1,5 +1,6 @@
 module Sink = Bi_engine.Sink
 module Codec = Bi_cache.Codec
+module Service = Bi_cache.Service
 module Mode = Bi_certify.Mode
 module Concept = Bi_correlated.Concept
 
@@ -11,16 +12,12 @@ type query =
       concept : Concept.t;
     }
   | Construction of { name : string; k : int; mode : Mode.t; concept : Concept.t }
-  | Put of { fingerprint : string; value : put_value }
+  | Put of { fingerprint : string; value : Service.value }
   | Digest of { bucket : int option }
   | Pull of { keys : string list }
   | Stats
   | Health
   | Shutdown
-
-and put_value =
-  | Put_analysis of Bi_ncs.Bayesian_ncs.analysis
-  | Put_payload of Sink.json
 
 type request = { query : query; deadline_ms : int option }
 
@@ -115,10 +112,11 @@ let parse_request line =
           | None | Some (Sink.Str "analysis") -> (
             match Codec.analysis_of_json body with
             | Ok analysis ->
-              with_deadline (Put { fingerprint; value = Put_analysis analysis })
+              with_deadline
+                (Put { fingerprint; value = Service.Analysis analysis })
             | Error e -> Error (Printf.sprintf "put: %s" e))
           | Some (Sink.Str "payload") ->
-            with_deadline (Put { fingerprint; value = Put_payload body })
+            with_deadline (Put { fingerprint; value = Service.Payload body })
           | Some v ->
             Error
               (Printf.sprintf
@@ -182,13 +180,17 @@ let concept_field = function
   | Concept.Nash -> []
   | c -> [ ("concept", Sink.Str (Concept.to_string c)) ]
 
-let analyze_request ?deadline_ms ?(mode = Mode.default)
-    ?(concept = Concept.default) graph ~prior =
+let analyze_game_request ?deadline_ms ?(mode = Mode.default)
+    ?(concept = Concept.default) game =
   Sink.Obj
-    ([ ("op", Sink.Str "analyze"); ("game", Codec.game_to_json graph ~prior) ]
+    ([ ("op", Sink.Str "analyze"); ("game", game) ]
     @ mode_field mode
     @ concept_field concept
     @ deadline_field deadline_ms)
+
+let analyze_request ?deadline_ms ?mode ?concept graph ~prior =
+  analyze_game_request ?deadline_ms ?mode ?concept
+    (Codec.game_to_json graph ~prior)
 
 let construction_request ?deadline_ms ?(mode = Mode.default)
     ?(concept = Concept.default) ~name ~k () =
@@ -226,34 +228,24 @@ let stats_request = Sink.Obj [ ("op", Str "stats") ]
 let health_request = Sink.Obj [ ("op", Str "health") ]
 let shutdown_request = Sink.Obj [ ("op", Str "shutdown") ]
 
-let ok_analysis ~fingerprint ~cached analysis =
+let ok_answer ~fingerprint ~cached members =
   Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("analysis", Codec.analysis_to_json analysis);
-    ]
+    (("ok", Sink.Bool true)
+    :: ("fingerprint", Sink.Str fingerprint)
+    :: ("cached", Sink.Bool cached)
+    :: members)
+
+let ok_analysis ~fingerprint ~cached analysis =
+  ok_answer ~fingerprint ~cached
+    [ ("analysis", Codec.analysis_to_json analysis) ]
 
 let ok_certified ~fingerprint ~cached certified =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("mode", Str (Mode.to_string Mode.Certified));
-      ("certified", certified);
-    ]
+  ok_answer ~fingerprint ~cached
+    [ ("mode", Str (Mode.to_string Mode.Certified)); ("certified", certified) ]
 
 let ok_correlated ~fingerprint ~cached ~concept correlated =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("fingerprint", Str fingerprint);
-      ("cached", Bool cached);
-      ("concept", Str (Concept.to_string concept));
-      ("correlated", correlated);
-    ]
+  ok_answer ~fingerprint ~cached
+    [ ("concept", Str (Concept.to_string concept)); ("correlated", correlated) ]
 
 let ok_stats ~cache ~server =
   Sink.Obj [ ("ok", Bool true); ("cache", cache); ("server", server) ]

@@ -32,10 +32,17 @@ type query =
       mode : Bi_certify.Mode.t;
       concept : Bi_correlated.Concept.t;
     }
-  | Put of { fingerprint : string; value : put_value }
+  | Put of { fingerprint : string; value : Bi_cache.Service.value }
       (** A cache write: store [value] under [fingerprint] without
           computing anything.  The router uses it for quorum
-          replication, warming, hinted handoff and repair. *)
+          replication, warming, hinted handoff and repair.  On the
+          wire, ["kind"] absent or ["analysis"] is an
+          {!Bi_cache.Service.Analysis}, decoded and validated —
+          byte-identical back-compat with pre-repair replication — and
+          ["kind"]: ["payload"] is a {!Bi_cache.Service.Payload} stored
+          verbatim (certified / correlated tier results; pre-repair
+          shards reject it with a structured error, which repair treats
+          as "skip"). *)
   | Digest of { bucket : int option }
       (** Cluster-internal consistency probe: [None] asks for the
           per-bucket rollup of the resident entries, [Some b] for one
@@ -50,16 +57,6 @@ type query =
           in-flight request depth and the cache statistics, never shed
           and never queued behind solver work. *)
   | Shutdown
-
-and put_value =
-  | Put_analysis of Bi_ncs.Bayesian_ncs.analysis
-      (** ["kind"] absent or ["analysis"] on the wire: the body is
-          decoded and validated as a full analysis — byte-identical
-          back-compat with pre-repair replication. *)
-  | Put_payload of Bi_engine.Sink.json
-      (** ["kind"]: ["payload"]: the body is stored verbatim (certified
-          / correlated tier results).  Pre-repair shards reject it with
-          a structured error, which repair treats as "skip". *)
 
 type request = {
   query : query;
@@ -80,6 +77,15 @@ val max_k : int
 val parse_request : string -> (request, string) result
 
 (** Request builders (client side). *)
+
+val analyze_game_request :
+  ?deadline_ms:int ->
+  ?mode:Bi_certify.Mode.t ->
+  ?concept:Bi_correlated.Concept.t ->
+  Bi_engine.Sink.json ->
+  Bi_engine.Sink.json
+(** An [analyze] request for a game already in its wire form, sent as
+    given ([bi query analyze] reads one from stdin). *)
 
 val analyze_request :
   ?deadline_ms:int ->
@@ -120,7 +126,16 @@ val stats_request : Bi_engine.Sink.json
 val health_request : Bi_engine.Sink.json
 val shutdown_request : Bi_engine.Sink.json
 
-(** Response builders (server side). *)
+(** Response builders (server side).  Every answer shares one header —
+    ["ok"], the tier-qualified ["fingerprint"], ["cached"] — followed by
+    its tier's members; {!Tier} chooses the builder. *)
+
+val ok_answer :
+  fingerprint:string ->
+  cached:bool ->
+  (string * Bi_engine.Sink.json) list ->
+  Bi_engine.Sink.json
+(** The shared header, then [members] in order. *)
 
 val ok_analysis :
   fingerprint:string ->

@@ -5,10 +5,6 @@ module Service = Bi_cache.Service
 module Fingerprint = Bi_cache.Fingerprint
 module Bncs = Bi_ncs.Bayesian_ncs
 module Registry = Bi_constructions.Registry
-module Mode = Bi_certify.Mode
-module Solve = Bi_certify.Solve
-module Concept = Bi_correlated.Concept
-module Correlated = Bi_correlated.Correlated
 
 type listen = Lineserver.listen = Unix_socket of string | Tcp of int
 
@@ -109,23 +105,17 @@ let release_slot t =
    nor an in-flight leader, and takes over the computation itself.
    The chaos compute delay runs inside the admission slot, so injected
    latency exercises the load-shedding path like real slow work.
-
-   Generic over {!Service.value} so both solver tiers coalesce through
-   the same in-flight table: [decode] projects a cached value of the
-   expected shape (tier-qualified keys make a shape clash impossible,
-   but a mismatch still reads as a miss rather than a crash), [encode]
-   injects a fresh result, and [solve] does the leader's work. *)
-let compute (type a) t ~budget ~chaos_delay_ms ~key
-    ~(decode : Service.value -> a option) ~(encode : a -> Service.value)
-    (solve : unit -> (a, failure) result) =
+   [hit] is the tier's shape test ({!Tier.matches}): a cached value of
+   another shape reads as a miss rather than a crash. *)
+let compute t ~budget ~chaos_delay_ms ~key ~hit solve =
   Mutex.lock t.lock;
   let rec obtain ~waited =
-    match Option.bind (Service.find t.cache key) decode with
-    | Some v ->
+    match Service.find t.cache key with
+    | Some v when hit v ->
       if waited then Metrics.coalesce t.metrics else Metrics.hit t.metrics;
       Mutex.unlock t.lock;
       Ok (v, true)
-    | None ->
+    | Some _ | None ->
       if Budget.expired budget then begin
         Mutex.unlock t.lock;
         Error Deadline
@@ -150,7 +140,7 @@ let compute (type a) t ~budget ~chaos_delay_ms ~key
                 else
                   match solve () with
                   | Ok v ->
-                    Service.insert t.cache key (encode v);
+                    Service.insert t.cache key v;
                     Ok (v, false)
                   | Error _ as e -> e
                   | exception Budget.Expired -> Error Deadline
@@ -165,36 +155,6 @@ let compute (type a) t ~budget ~chaos_delay_ms ~key
       end
   in
   obtain ~waited:false
-
-let analysis t ~budget ~chaos_delay_ms ~fingerprint build =
-  compute t ~budget ~chaos_delay_ms ~key:fingerprint
-    ~decode:(function Service.Analysis a -> Some a | Service.Payload _ -> None)
-    ~encode:(fun a -> Service.Analysis a)
-    (fun () ->
-      match build () with
-      | Error e -> Error (Msg e)
-      | Ok game -> Ok (Bncs.analyze ?pool:t.pool ~budget game))
-
-let certified t ~budget ~chaos_delay_ms ~key build =
-  compute t ~budget ~chaos_delay_ms ~key
-    ~decode:(function Service.Payload j -> Some j | Service.Analysis _ -> None)
-    ~encode:(fun j -> Service.Payload j)
-    (fun () ->
-      match build () with
-      | Error e -> Error (Msg e)
-      | Ok game ->
-        Ok (Solve.to_json (Solve.certify ?pool:t.pool ~budget game)))
-
-(* The correlated concepts cache the same [Payload] shape as the
-   certified tier — concept-qualified keys keep the shapes apart. *)
-let correlated t ~budget ~chaos_delay_ms ~key ~concept build =
-  compute t ~budget ~chaos_delay_ms ~key
-    ~decode:(function Service.Payload j -> Some j | Service.Analysis _ -> None)
-    ~encode:(fun j -> Service.Payload j)
-    (fun () ->
-      match build () with
-      | Error e -> Error (Msg e)
-      | Ok game -> Ok (Correlated.to_json (Correlated.analyze ~budget ~concept game)))
 
 (* --- request handling ------------------------------------------------ *)
 
@@ -216,75 +176,40 @@ let failure_response t = function
     Metrics.error t.metrics;
     (Protocol.error e, `Continue)
 
-let analysis_response t ~fingerprint result =
-  match result with
-  | Ok (a, cached) -> (Protocol.ok_analysis ~fingerprint ~cached a, `Continue)
+(* Answer one analysis request of a resolved tier: its key, its solver
+   (run only by a miss's leader, which builds the game then) and its
+   response all come from {!Tier}. *)
+let answer t ~budget ~chaos_delay_ms ~fingerprint tier build =
+  let key = Tier.key tier fingerprint in
+  let solve () =
+    Result.bind (build ())
+      (Tier.solve ?pool:t.pool ~budget ~verify:false tier)
+    |> Result.map_error (fun e -> Msg e)
+  in
+  let hit = Tier.matches tier in
+  match compute t ~budget ~chaos_delay_ms ~key ~hit solve with
+  | Ok (v, cached) -> (Tier.response tier ~fingerprint:key ~cached v, `Continue)
   | Error f -> failure_response t f
 
-let certified_response t ~fingerprint result =
-  match result with
-  | Ok (payload, cached) ->
-    (Protocol.ok_certified ~fingerprint ~cached payload, `Continue)
-  | Error f -> failure_response t f
-
-let correlated_response t ~fingerprint ~concept result =
-  match result with
-  | Ok (payload, cached) ->
-    (Protocol.ok_correlated ~fingerprint ~cached ~concept payload, `Continue)
-  | Error f -> failure_response t f
-
-(* Tier dispatch.  The exhaustive tier keys the cache on the bare game
-   fingerprint — byte-identical requests and responses to every pre-mode
-   deployment — while the certified tier appends its tag, so entries
-   never cross tiers.  [Auto] must build the game to count its valid
-   profiles; the resolved tier then reuses the built game. *)
-let rec handle_tiered t ~budget ~chaos_delay_ms ~fingerprint ~mode build =
-  match mode with
-  | Mode.Exhaustive ->
-    analysis_response t ~fingerprint
-      (analysis t ~budget ~chaos_delay_ms ~fingerprint build)
-  | Mode.Certified ->
-    let key =
-      Fingerprint.with_mode fingerprint ~mode:(Mode.cache_tag Mode.Certified)
-    in
-    certified_response t ~fingerprint:key
-      (certified t ~budget ~chaos_delay_ms ~key build)
-  | Mode.Auto -> (
+(* [auto] must build the game to count its valid profiles; the resolved
+   tier then reuses the built game. *)
+let dispatch t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept build =
+  match Tier.of_query ~mode ~concept with
+  | Tier.Known tier -> answer t ~budget ~chaos_delay_ms ~fingerprint tier build
+  | Tier.Auto as request -> (
     match build () with
-    | Error e ->
-      Metrics.error t.metrics;
-      (Protocol.error e, `Continue)
-    | exception Invalid_argument msg ->
-      Metrics.error t.metrics;
-      (Protocol.error msg, `Continue)
+    | Error e -> failure_response t (Msg e)
+    | exception Invalid_argument msg -> failure_response t (Msg msg)
     | Ok game ->
-      let mode =
-        Mode.resolve ~valid_profiles:(Bncs.valid_profile_count game) Mode.Auto
-      in
-      handle_tiered t ~budget ~chaos_delay_ms ~fingerprint ~mode (fun () ->
-          Ok game))
-
-(* Concept dispatch sits in front of tier dispatch: nash requests flow
-   through [handle_tiered] exactly as before (byte-identical responses
-   and cache keys), the correlated concepts go to the LP path under a
-   concept-qualified key — the solver tier does not apply there. *)
-let handle_concepted t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept
-    build =
-  match concept with
-  | Concept.Nash -> handle_tiered t ~budget ~chaos_delay_ms ~fingerprint ~mode build
-  | (Concept.Cce | Concept.Comm) as concept ->
-    let key =
-      Fingerprint.with_concept fingerprint ~concept:(Concept.cache_tag concept)
-    in
-    correlated_response t ~fingerprint:key ~concept
-      (correlated t ~budget ~chaos_delay_ms ~key ~concept build)
+      answer t ~budget ~chaos_delay_ms ~fingerprint (Tier.resolve request game)
+        (fun () -> Ok game))
 
 let handle_query t ~budget ~chaos_delay_ms query =
   match query with
   | Protocol.Analyze { graph; prior; mode; concept } ->
     let fingerprint = Fingerprint.game graph ~prior in
-    handle_concepted t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept
-      (fun () -> Ok (Bncs.make graph ~prior))
+    dispatch t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept (fun () ->
+        Ok (Bncs.make graph ~prior))
   | Protocol.Construction { name; k; mode; concept } -> (
     (* The fingerprint comes from the construction table; the game is
        built only if a solver needs it (a miss, or [auto] counting its
@@ -294,18 +219,14 @@ let handle_query t ~budget ~chaos_delay_ms query =
       Metrics.error t.metrics;
       (Protocol.error e, `Continue)
     | Ok fingerprint ->
-      handle_concepted t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept
-        (fun () -> Registry.build name k))
+      dispatch t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept (fun () ->
+          Registry.build name k))
   (* [put] and [health] are cluster-control verbs: like [stats] they are
      never shed and never queue behind solver work, so replication and
      liveness probing keep working on a saturated shard. *)
   | Protocol.Put { fingerprint; value } ->
     chaos_sleep chaos_delay_ms;
-    (match value with
-    | Protocol.Put_analysis analysis ->
-      Service.insert_analysis t.cache fingerprint analysis
-    | Protocol.Put_payload body ->
-      Service.insert t.cache fingerprint (Service.Payload body));
+    Service.insert t.cache fingerprint value;
     (Protocol.ok_stored ~fingerprint, `Continue)
   (* [digest] and [pull] are the repair-path control verbs: cheap reads
      of the resident digest view, never shed, so anti-entropy and fsck

@@ -557,6 +557,88 @@ let test_router_correlated () =
         (get_bool "stopping" bye);
       Client.close c)
 
+(* [mode:"auto"] through the router.  The router cannot resolve the
+   tier (it never builds games), so it routes on the certified key; the
+   shard resolves a small game to exhaustive and answers under the bare
+   fingerprint.  That answer must be forwarded untouched: neither
+   front-cached nor replicated under the certified key, where a later
+   certified request would find an analysis. *)
+let test_router_auto_tier () =
+  let module Mode = Bi_certify.Mode in
+  let dir = Filename.temp_file "bi_router_auto" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let members = [ sock_a; sock_b ] in
+  let router_sock = Filename.concat dir "router.sock" in
+  let config =
+    {
+      Router.default_config with
+      probe_interval_s = 0.05;
+      shard_timeout_s = 10.;
+    }
+  in
+  let th_router =
+    with_ready_thread (fun ~on_ready ->
+        Router.run ~on_ready ~config ~members
+          (Bi_serve.Lineserver.Unix_socket router_sock))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      let c = Client.connect_unix router_sock in
+      let ask mode =
+        request_ok c
+          (Protocol.construction_request ~mode ~name:"gworst-bliss" ~k:2 ())
+      in
+      let fingerprint r =
+        match Sink.member "fingerprint" r with
+        | Some (Sink.Str s) -> s
+        | _ -> Alcotest.fail "fingerprint missing"
+      in
+      let auto1 = ask Mode.Auto in
+      let fp = fingerprint auto1 in
+      Alcotest.(check bool) "auto resolves to exhaustive: bare fingerprint"
+        false (String.contains fp '+');
+      let cert = ask Mode.Certified in
+      Alcotest.(check string) "certified fingerprint" (fp ^ "+certified")
+        (fingerprint cert);
+      Alcotest.(check bool) "certified answer carries its brackets" true
+        (Sink.member "certified" cert <> None);
+      Alcotest.(check bool) "certified answer carries no analysis" true
+        (Sink.member "analysis" cert = None);
+      let auto2 = ask Mode.Auto in
+      Alcotest.(check string) "repeat auto keeps the shard's fingerprint" fp
+        (fingerprint auto2);
+      List.iter
+        (fun sock ->
+          let d = Client.connect_unix sock in
+          let pulled =
+            request_ok d (Protocol.pull_request [ fp ^ "+certified" ])
+          in
+          Client.close d;
+          match Protocol.entries_of pulled with
+          | Error e -> Alcotest.fail e
+          | Ok entries ->
+            Alcotest.(check (list string))
+              (sock ^ ": no analysis under the certified key") []
+              (List.filter_map
+                 (fun (e : Store.entry) ->
+                   if e.Store.kind = "analysis" then Some e.Store.key else None)
+                 entries))
+        members;
+      ignore (request_ok c Protocol.shutdown_request);
+      Client.close c)
+
 let get_int key j =
   match Sink.member key j with Some (Sink.Int n) -> Some n | _ -> None
 
@@ -586,7 +668,11 @@ let wait_until ?(deadline = 15.) ~what f =
    every owner that failed (read-repair), and a fresh compute that
    cannot replicate to an owner parks a hint too.  Probes run only at
    startup here, so the dead primary stays nominally Up and is tried —
-   and fails — first, making the failover deterministic. *)
+   and fails — first, making the failover deterministic.  The startup
+   probe round must have landed before the kill: a probe failure on top
+   of the request-path failures would push the dead primary to Down,
+   and a Down owner is tried last, so the failover read would never
+   fail on it and would park no read-repair hint. *)
 let test_read_repair_parks_hints () =
   let dir = Filename.temp_file "bi_rr" "" in
   Sys.remove dir;
@@ -630,6 +716,9 @@ let test_read_repair_parks_hints () =
       in
       let ring = Ring.create members in
       let primary = Option.get (Ring.owner ring fp) in
+      wait_until ~what:"both members up" (fun () ->
+          let stats = request_ok c Protocol.stats_request in
+          List.for_all (fun m -> member_state stats m = Some "up") members);
       stop_endpoint primary;
       Thread.join (if primary = sock_a then th_a else th_b);
       (* Fresh compute: replication to the dead owner parks a hint (and
@@ -975,5 +1064,7 @@ let () =
             test_sighup_reload_race;
           Alcotest.test_case "forwards the received line verbatim" `Quick
             test_router_forwards_verbatim;
+          Alcotest.test_case "auto answers are forwarded untouched" `Quick
+            test_router_auto_tier;
         ] );
     ]

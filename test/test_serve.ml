@@ -636,6 +636,76 @@ let test_correlated_concept () =
       ignore (request_ok c Protocol.shutdown_request);
       Client.close c)
 
+(* The CLI answers as the server does, tier by tier: [bi construction
+   --json] carries the server's fingerprint and tier member, and
+   [bi query construction] prints the server's answer byte for byte
+   (the client asks first, so the query reads it cached). *)
+let test_cli_matches_server () =
+  let module Mode = Bi_certify.Mode in
+  let module Concept = Bi_correlated.Concept in
+  let bi =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/bi.exe"
+  in
+  let run args =
+    let out = Filename.temp_file "bi_cli" ".out" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote bi) args
+           (Filename.quote out))
+    in
+    let text = In_channel.with_open_text out In_channel.input_all in
+    Sys.remove out;
+    Alcotest.(check int) ("bi " ^ args) 0 code;
+    String.trim text
+  in
+  let member key j =
+    match Sink.member key j with
+    | Some v -> Sink.to_string v
+    | None -> Alcotest.failf "no %S member in %s" key (Sink.to_string j)
+  in
+  let as_cached = function
+    | Sink.Obj fields ->
+      Sink.Obj
+        (List.map
+           (function "cached", _ -> ("cached", Sink.Bool true) | f -> f)
+           fields)
+    | j -> j
+  in
+  with_server (fun ~socket ~metrics_out:_ ->
+      List.iter
+        (fun (mode, concept, tier_member) ->
+          let flags =
+            Printf.sprintf "gworst-bliss -k 2 --mode %s --concept %s"
+              (Mode.to_string mode) (Concept.to_string concept)
+          in
+          let c = Client.connect_unix socket in
+          let served =
+            request_ok c
+              (Protocol.construction_request ~mode ~concept ~name:"gworst-bliss"
+                 ~k:2 ())
+          in
+          Client.close c;
+          Alcotest.(check string)
+            (flags ^ ": bi query prints the server's answer")
+            (Sink.to_string (as_cached served))
+            (run
+               (Printf.sprintf "query construction %s --socket %s" flags
+                  (Filename.quote socket)));
+          match Sink.of_string (run ("construction " ^ flags ^ " --json")) with
+          | Error e -> Alcotest.fail e
+          | Ok record ->
+            Alcotest.(check string) (flags ^ ": fingerprint")
+              (member "fingerprint" served) (member "fingerprint" record);
+            Alcotest.(check string) (flags ^ ": " ^ tier_member)
+              (member tier_member served) (member tier_member record))
+        [
+          (Mode.Exhaustive, Concept.Nash, "analysis");
+          (Mode.Certified, Concept.Nash, "certified");
+          (Mode.Auto, Concept.Nash, "analysis");
+          (Mode.Exhaustive, Concept.Cce, "correlated");
+          (Mode.Exhaustive, Concept.Comm, "correlated");
+        ])
+
 let test_health_and_put () =
   let captured = ref None in
   with_server ~shard:"shard-a" (fun ~socket ~metrics_out:_ ->
@@ -925,7 +995,7 @@ let test_parse_digest_pull () =
   | Ok
       {
         Protocol.query =
-          Protocol.Put { fingerprint = "f"; value = Protocol.Put_payload _ };
+          Protocol.Put { fingerprint = "f"; value = Service.Payload _ };
         _;
       } ->
     ()
@@ -1153,6 +1223,8 @@ let () =
             test_certified_tier;
           Alcotest.test_case "correlated concept over the wire" `Quick
             test_correlated_concept;
+          Alcotest.test_case "bi construction and bi query match the server"
+            `Quick test_cli_matches_server;
           Alcotest.test_case "health and put verbs" `Quick test_health_and_put;
           Alcotest.test_case "metrics dump on shutdown" `Quick test_metrics_dump;
           Alcotest.test_case "survives garbage on the wire" `Quick
