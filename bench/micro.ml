@@ -152,6 +152,23 @@ let profile_cost_test =
               Rat.zero
               (Ncs.Complete.profile_space profile_cost_game))))
 
+(* Correlated kernel: a communication-equilibrium miss on gworst-curse
+   k = 3, shard-cold's slowest LP mode — price the columns, assemble
+   both polytopes, and solve all four LPs (the float guide proposes each
+   basis, the exact loop rebuilds and proves it). *)
+let correlated_game =
+  match Constructions.Registry.build "gworst-curse" 3 with
+  | Ok g -> g
+  | Error e -> failwith e
+
+let correlated_test =
+  Test.make ~name:"correlated analyze, gworst-curse k=3 comm"
+    (Staged.stage (fun () ->
+         ignore
+           (Sys.opaque_identity
+              (Correlated.Correlated.analyze ~concept:Correlated.Concept.Comm
+                 correlated_game))))
+
 (* Simplex pivot kernel: one basis update of the exact-rational revised
    simplex — rescale the pivot row, then eliminate the pivot column from
    the other 23 rows via the fused Rat.sub_mul — on a 24-row basis
@@ -285,8 +302,8 @@ let benchmark () =
         reference_test; bigint_test; rat_add_small_test; rat_add_large_test;
         rat_cmp_small_test; rat_cmp_large_test; simplex_pivot_test;
         profile_cost_test; dijkstra_test; steiner_test; equilibria_test;
-        descent_test; section4_test; frt_test; fingerprint_test; cache_hit_test;
-        tree_hit_test; digest_rollup_test;
+        descent_test; section4_test; correlated_test; frt_test; fingerprint_test;
+        cache_hit_test; tree_hit_test; digest_rollup_test;
       ]
   in
   let instances = Instance.[ monotonic_clock ] in

@@ -145,8 +145,9 @@ type sense = Best | Worst
 
 (* Standard form: S prior-consistency equality rows, then one row per
    deviation with a unit slack column; minimize the (possibly negated)
-   expected social cost. *)
-let assemble t dev ~sense =
+   expected social cost.  [assemble t dev] builds [A] and [b] once and
+   shares them between the two senses, which differ only in [c]. *)
+let assemble t dev =
   let s = Array.length t.states_ in
   let n = Array.length t.cols in
   let d = Array.length dev in
@@ -158,12 +159,13 @@ let assemble t dev ~sense =
       a.(s + r).(n + r) <- Rat.one)
     dev;
   let b = Array.append t.weights (Array.make d Rat.zero) in
-  let c = Array.make (n + d) Rat.zero in
-  Array.iteri
-    (fun j cost ->
-      c.(j) <- (match sense with Best -> cost | Worst -> Rat.neg cost))
-    t.costs;
-  { Lp.a; b; c }
+  fun ~sense ->
+    let c = Array.make (n + d) Rat.zero in
+    Array.iteri
+      (fun j cost ->
+        c.(j) <- (match sense with Best -> cost | Worst -> Rat.neg cost))
+      t.costs;
+    { Lp.a; b; c }
 
 let problem t ~concept ~sense = assemble t (deviation_rows t concept) ~sense
 let public_problem t ~sense = assemble t [||] ~sense
@@ -184,7 +186,7 @@ type report = {
 let solve_quantity ?budget prob ~sense =
   let on_pivot = Option.map (fun b () -> Budget.check b) budget in
   match Lp.solve ?on_pivot prob with
-  | Lp.Optimal cert, { Lp.pivots } ->
+  | Lp.Optimal cert, { Lp.pivots; _ } ->
     let value =
       match sense with
       | Best -> cert.Lp.objective
@@ -206,16 +208,17 @@ let analyze ?budget ~concept game =
   | Concept.Cce | Concept.Comm -> ());
   let t = make game in
   let dev = deviation_rows t concept in
-  let solve ~dev ~sense = solve_quantity ?budget (assemble t dev ~sense) ~sense in
+  let polytope = assemble t dev and public = assemble t [||] in
+  let solve lp ~sense = solve_quantity ?budget (lp ~sense) ~sense in
   {
     concept;
     states = states t;
     columns = columns t;
     deviations = Array.length dev;
-    best = solve ~dev ~sense:Best;
-    worst = solve ~dev ~sense:Worst;
-    pub_best = solve ~dev:[||] ~sense:Best;
-    pub_worst = solve ~dev:[||] ~sense:Worst;
+    best = solve polytope ~sense:Best;
+    worst = solve polytope ~sense:Worst;
+    pub_best = solve public ~sense:Best;
+    pub_worst = solve public ~sense:Worst;
   }
 
 let check game report =

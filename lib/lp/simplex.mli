@@ -4,18 +4,19 @@
 
     {v   minimize  c.x   subject to   A x = b,  x >= 0   v}
 
-    entirely over {!Bi_num.Rat}: no floating point anywhere, so every
-    reported optimum is the exact rational value of the program and
-    every certificate check below is a theorem, not a tolerance test.
-    Inequality systems are encoded by the caller with explicit slack
-    columns (see [Bi_correlated] for the equilibrium polytopes that
-    motivated this module).
+    and reports every outcome in {!Bi_num.Rat}: each optimum is the
+    exact rational value of the program and every certificate check
+    below is a theorem, not a tolerance test.  Floating point only
+    proposes a basis; exact arithmetic rebuilds it and proves it, so no
+    double reaches a reported number.  Inequality systems are encoded
+    by the caller with explicit slack columns (see [Bi_correlated] for
+    the equilibrium polytopes that motivated this module).
 
-    The solver is the classic two-phase revised method: a basis
+    The algorithm is the classic two-phase revised method: a basis
     [B] of column indices is maintained together with an explicit
-    exact inverse [B^-1]; each iteration prices the nonbasic columns
-    against the dual vector [y = c_B B^-1], picks the entering column
-    by {e Bland's rule} (lowest index with negative reduced cost), and
+    inverse [B^-1]; each iteration prices the nonbasic columns against
+    the dual vector [y = c_B B^-1], picks the entering column by
+    {e Bland's rule} (lowest index with negative reduced cost), and
     leaves by the minimum-ratio test with ties again broken by lowest
     basis index.  Bland's rule makes cycling impossible, so termination
     is unconditional even on the degenerate polytopes that equilibrium
@@ -26,6 +27,23 @@
     Farkas certificate of infeasibility, otherwise basic artificials
     are driven out (rows that cannot be driven out are exactly the
     redundant rows and stay inert) and phase 2 optimizes [c].
+
+    [solve] runs that algorithm twice.  The {e guide} runs it in
+    doubles, with the same crash basis, phases, drive-out and Bland
+    rules, one tolerance deciding signs and ties, its inverse
+    refactored from the data every [max 32 m] pivots, and a cap of
+    [4 (m + n)] pivots.  Its final basis is rebuilt exactly — each of
+    its structural columns pivoted into the crash basis with {!pivot}
+    — and, when that basis is nonsingular and primal-feasible, the
+    exact loop (phase 1, drive-out, phase 2) starts from it, so the
+    exact pricing pass is the optimality proof and normally makes no
+    pivot.  Otherwise (the guide hit its cap or a singular basis, or
+    its basis fails exactly) the exact loop starts from the crash
+    basis.  Where the guide decides every sign and tie as exact
+    arithmetic would, both follow the same Bland path, so the outcome,
+    certificate and pivot count are those of the exact loop alone.  The
+    guide reads no clock: one problem gives the same bytes in every
+    process.
 
     Every outcome carries a certificate that [check] /
     [check_infeasible] / [check_unbounded] re-verify from scratch in
@@ -60,13 +78,20 @@ type outcome =
           [d >= 0], [c.d < 0], so [witness + t*d] is feasible for all
           [t >= 0] with objective tending to [-oo]. *)
 
-type stats = { pivots : int }
+type stats = {
+  pivots : int;
+      (** the Bland path's length: the guide's pivots plus the exact
+          loop's, or the exact loop's alone when the guide's basis was
+          not used *)
+  exact_pivots : int;  (** pivots the exact loop made *)
+  guided : bool;  (** the exact loop started from the guide's basis *)
+}
 
 val solve : ?on_pivot:(unit -> unit) -> problem -> outcome * stats
 (** Solve the program.  [on_pivot] is called once per simplex
-    iteration (before the work of that iteration) — the serving layer
-    uses it to poll a deadline budget; an exception it raises aborts
-    the solve and propagates.
+    iteration, float or exact (before the work of that iteration) —
+    the serving layer uses it to poll a deadline budget; an exception
+    it raises aborts the solve and propagates.
     @raise Invalid_argument on mismatched dimensions. *)
 
 val check : problem -> certificate -> (unit, string) result

@@ -154,7 +154,7 @@ let prior_of_dual t (cert : Bi_lp.Simplex.certificate) =
 
 let solve t =
   match Bi_lp.Simplex.solve (problem t) with
-  | Bi_lp.Simplex.Optimal certificate, { Bi_lp.Simplex.pivots } ->
+  | Bi_lp.Simplex.Optimal certificate, { Bi_lp.Simplex.pivots; _ } ->
     {
       value = certificate.objective;
       mixture = Array.sub certificate.x 0 (n_strategies t);

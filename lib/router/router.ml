@@ -1,4 +1,5 @@
 module Sink = Bi_engine.Sink
+module Clock = Bi_engine.Clock
 module Client = Bi_serve.Client
 module Protocol = Bi_serve.Protocol
 module Tier = Bi_serve.Tier
@@ -607,6 +608,24 @@ let reload_members t ~tick =
         (* New members are probed (and warmed) on this same tick. *)
         List.iter (probe t ~tick) added))
 
+(* The poller sleeps out a probe interval in slices of at most this
+   long, checking for shutdown between them: [run] joins the poller, so
+   a router stops within one slice of [shutdown] whatever the interval.
+   The default interval (0.25 s) fits in one slice, so a router at its
+   defaults sleeps once per tick, as it would without slicing. *)
+let stop_slice_s = 0.5
+
+let nap t seconds =
+  let start = Clock.now_ns () in
+  let rec go () =
+    let left = seconds -. Clock.since start in
+    if left > 0. && not (Lineserver.stopping t.ls) then begin
+      Thread.delay (Float.min left stop_slice_s);
+      go ()
+    end
+  in
+  go ()
+
 let poller t =
   let tick = ref 0 in
   while not (Lineserver.stopping t.ls) do
@@ -617,7 +636,7 @@ let poller t =
       t.config.repair_interval_ticks > 0
       && !tick mod t.config.repair_interval_ticks = 0
     then repair_round t ~tick:!tick;
-    Thread.delay t.config.probe_interval_s
+    nap t t.config.probe_interval_s
   done
 
 (* --- lifecycle -------------------------------------------------------- *)

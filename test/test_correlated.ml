@@ -7,7 +7,8 @@
    polytopes; the values interleave exactly as the polytope inclusions
    dictate — best-cce <= best-comm <= best-eqP <= worst-eqP <=
    worst-comm <= worst-cce; and the deviation-free polytope reproduces
-   Lemma 4.1: pub-best = optC. *)
+   Lemma 4.1: pub-best = optC.  The simplex's float guide must land:
+   on the paper's families the exact loop only proves its basis. *)
 
 open Bayesian_ignorance
 open Num
@@ -182,6 +183,68 @@ let qtests =
       prop_tampered_reports_rejected;
     ]
 
+(* --- the simplex's float guide --- *)
+
+(* On every cce and comm LP of the three families at k = 2..4, the exact
+   loop starts from the guide's rebuilt basis and proves it optimal
+   without a pivot.  A guide that silently failed would still give the
+   right answers, so only this law would notice. *)
+let test_guide_lands_on_family_lps () =
+  let module Simplex = Lp.Simplex in
+  List.iter
+    (fun name ->
+      List.iter
+        (fun k ->
+          let t = Corr.make (construction name k) in
+          let lps =
+            [
+              ("pub_best", Corr.public_problem t ~sense:Corr.Best);
+              ("pub_worst", Corr.public_problem t ~sense:Corr.Worst);
+            ]
+            @ List.concat_map
+                (fun concept ->
+                  let c = Concept.to_string concept in
+                  [
+                    (c ^ " best", Corr.problem t ~concept ~sense:Corr.Best);
+                    (c ^ " worst", Corr.problem t ~concept ~sense:Corr.Worst);
+                  ])
+                [ Concept.Cce; Concept.Comm ]
+          in
+          List.iter
+            (fun (label, p) ->
+              let _, st = Simplex.solve p in
+              if not (st.Simplex.guided && st.Simplex.exact_pivots = 0) then
+                Alcotest.failf "%s k=%d %s: guided %b, %d exact pivots of %d"
+                  name k label st.Simplex.guided st.Simplex.exact_pivots
+                  st.Simplex.pivots)
+            lps)
+        [ 2; 3; 4 ])
+    [ "anshelevich"; "gworst-bliss"; "gworst-curse" ]
+
+(* The guide polls the budget on every pivot too, so a deadline still
+   stops an LP that the guide alone would finish. *)
+let test_expired_budget_raises () =
+  let g = construction "anshelevich" 8 in
+  let budget = Engine.Budget.of_timeout_ms 1 in
+  Unix.sleepf 0.01;
+  Alcotest.check_raises "expired budget" Engine.Budget.Expired (fun () ->
+      ignore (Corr.analyze ~budget ~concept:Concept.Cce g))
+
+(* Three of the largest comm LPs seen in the random family: 740, 1236
+   and 964 rows. *)
+let test_large_comm_lps () =
+  List.iter
+    (fun (seed, rows) ->
+      let g = random_bayesian_ncs seed in
+      let r = Corr.analyze ~concept:Concept.Comm g in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: rows" seed)
+        rows (r.Corr.states + r.Corr.deviations);
+      match Corr.check g r with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "seed %d: %s" seed e)
+    [ (84961, 740); (6673, 1236); (69439, 964) ]
+
 let test_nash_has_no_lp () =
   let g = construction "anshelevich" 2 in
   Alcotest.check_raises "analyze nash"
@@ -212,6 +275,14 @@ let () =
             test_table1_interleaving;
           Alcotest.test_case "nash has no LP" `Quick test_nash_has_no_lp;
           Alcotest.test_case "concept strings" `Quick test_concept_strings;
+        ] );
+      ( "guide",
+        [
+          Alcotest.test_case "lands on every family LP at k 2-4" `Quick
+            test_guide_lands_on_family_lps;
+          Alcotest.test_case "expired budget raises" `Quick
+            test_expired_budget_raises;
+          Alcotest.test_case "three largest comm LPs" `Slow test_large_comm_lps;
         ] );
       ("properties", qtests);
     ]

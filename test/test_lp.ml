@@ -6,8 +6,9 @@
    the classic cycling instance and on randomly degenerate systems;
    infeasibility and unboundedness round-trip through their Farkas/ray
    certificates; tampering with any certificate coordinate is
-   rejected; and the crash basis reaches the optimum an all-artificial
-   start reaches. *)
+   rejected; the crash basis reaches the optimum an all-artificial
+   start reaches; and data that doubles cannot tell apart still yields
+   the exact optimum, because the float guide only proposes a basis. *)
 
 open Bayesian_ignorance
 open Num
@@ -157,6 +158,50 @@ let test_pivot_rejects_zero () =
     (Invalid_argument "Simplex.pivot: zero pivot element") (fun () ->
       Simplex.pivot ~binv ~xb ~column:[| Rat.zero |] ~row:0)
 
+(* --- the float guide --- *)
+
+(* 1 + 10^-30: a double rounds it to 1. *)
+let one_plus_tiny =
+  let e30 = Bigint.pow (Bigint.of_int 10) 30 in
+  Rat.make (Bigint.add e30 Bigint.one) e30
+
+(* min (1 + 10^-30) x1 + x2 s.t. x1 + x2 = 1.  The guide stops on the
+   crash basis {x1}, whose reduced cost for x2 is 0 in doubles; only the
+   exact pricing pass sees -10^-30 and pivots to the optimum 1 at x2. *)
+let test_guide_costs_tied_in_doubles () =
+  let p =
+    { Simplex.a = mat [| [| (1, 1); (1, 1) |] |];
+      b = vec [| (1, 1) |];
+      c = [| one_plus_tiny; Rat.one |] }
+  in
+  let outcome, stats = Simplex.solve p in
+  match outcome with
+  | Simplex.Optimal cert ->
+    Alcotest.check rat "objective" Rat.one cert.Simplex.objective;
+    check_ok p cert;
+    Alcotest.(check bool) "the exact loop repaired the guide's basis" true
+      (stats.Simplex.guided && stats.Simplex.exact_pivots > 0)
+  | _ -> Alcotest.fail "expected Optimal"
+
+(* min -x1 s.t. x1 + s_a = 1 + 10^-30, x1 + s_b = 1.  In doubles both
+   rows tie in the ratio test and Bland's rule lets s_a leave; exactly,
+   that basis puts s_b at -10^-30, so the exact loop starts from the
+   crash basis and lets s_b leave: optimum -1 at x1 = 1. *)
+let test_guide_rhs_tied_in_doubles () =
+  let p =
+    { Simplex.a = mat [| [| (1, 1); (1, 1); (0, 1) |]; [| (1, 1); (0, 1); (1, 1) |] |];
+      b = [| one_plus_tiny; Rat.one |];
+      c = vec [| (-1, 1); (0, 1); (0, 1) |] }
+  in
+  let outcome, stats = Simplex.solve p in
+  match outcome with
+  | Simplex.Optimal cert ->
+    Alcotest.check rat "objective" (Rat.of_int (-1)) cert.Simplex.objective;
+    check_ok p cert;
+    Alcotest.(check bool) "the guide's basis was rejected" false
+      stats.Simplex.guided
+  | _ -> Alcotest.fail "expected Optimal"
+
 (* --- random programs --- *)
 
 (* A feasible system by construction: draw x0 >= 0, set b = A x0.
@@ -305,6 +350,13 @@ let () =
             test_tampered_certificates;
           Alcotest.test_case "pivot rejects zero element" `Quick
             test_pivot_rejects_zero;
+        ] );
+      ( "guide",
+        [
+          Alcotest.test_case "costs tied in doubles" `Quick
+            test_guide_costs_tied_in_doubles;
+          Alcotest.test_case "right-hand sides tied in doubles" `Quick
+            test_guide_rhs_tied_in_doubles;
         ] );
       ("properties", qtests);
     ]

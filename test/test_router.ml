@@ -694,10 +694,11 @@ let test_read_repair_parks_hints () =
         Router.run ~on_ready ~config ~members
           (Bi_serve.Lineserver.Unix_socket router_sock))
   in
+  let router_joined = ref false in
   Fun.protect
     ~finally:(fun () ->
       stop_endpoint router_sock;
-      Thread.join th_router;
+      if not !router_joined then Thread.join th_router;
       stop_endpoint sock_a;
       stop_endpoint sock_b;
       Thread.join th_a;
@@ -739,7 +740,16 @@ let test_read_repair_parks_hints () =
         (counter stats "read_repairs" >= 1);
       Alcotest.(check bool) "hints_recorded counted" true
         (counter stats "hints_recorded" >= 2);
+      (* The poller sleeps out a 30 s probe interval in short slices,
+         so the router stops promptly after [shutdown]. *)
       ignore (request_ok c Protocol.shutdown_request);
+      let asked = Bi_engine.Clock.now_ns () in
+      Thread.join th_router;
+      router_joined := true;
+      let waited = Bi_engine.Clock.since asked in
+      if waited > 1. then
+        Alcotest.failf "router joined %.1f s after shutdown, not within 1 s"
+          waited;
       Client.close c)
 
 (* Down→Up recovery drains the hint log into the restarted (empty)
