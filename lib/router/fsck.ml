@@ -192,9 +192,18 @@ let gather sources =
     ([], []) sources
   |> fun (tables, unreachable) -> (List.rev tables, List.rev unreachable)
 
-(* Copy the authority's entry to every owner that lacks it or disagrees
-   with it.  Pushes go through the same [put] the write path uses, so a
-   repaired entry is byte-identical to a replicated one. *)
+(* Who gets the authority's copy: every owner that lacks the key or
+   holds a copy whose check differs from the authority's. *)
+let targets d =
+  let authority_check = List.assoc d.authority d.holders in
+  d.missing
+  @ List.filter_map
+      (fun (n, check) -> if check <> authority_check then Some n else None)
+      d.holders
+
+(* Copy the authority's entry to every {!targets} owner.  Pushes go
+   through the same [put] the write path uses, so a repaired entry is
+   byte-identical to a replicated one. *)
 let repair_one sources d =
   let source_by_name n = List.find_opt (fun s -> s.name = n) sources in
   match source_by_name d.authority with
@@ -204,15 +213,6 @@ let repair_one sources d =
     | Error e -> [ (d.key, Printf.sprintf "pull from %s: %s" d.authority e) ]
     | Ok [] -> [ (d.key, Printf.sprintf "%s no longer holds the key" d.authority) ]
     | Ok (entry :: _) ->
-      let targets =
-        d.missing
-        @ List.filter_map
-            (fun (n, check) ->
-              if n <> d.authority && check <> List.assoc d.authority d.holders
-              then Some n
-              else None)
-            d.holders
-      in
       List.filter_map
         (fun n ->
           match source_by_name n with
@@ -222,7 +222,7 @@ let repair_one sources d =
             | Ok () -> None
             | Error e ->
               Some (d.key, Printf.sprintf "push to %s: %s" n e)))
-        targets)
+        (targets d))
 
 let run ~ring ~replicas ~repair sources =
   let tables, unreachable = gather sources in

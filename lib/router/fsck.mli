@@ -63,6 +63,11 @@ val divergences :
 (** Pure core: (keys checked, divergences) over per-source key→check
     tables.  Exposed for the router's anti-entropy loop and tests. *)
 
+val targets : divergence -> string list
+(** The owners a repair copies the authority's entry to: the [missing]
+    ones, then every holder whose check differs from the authority's.
+    Shared by {!run}'s repair pass and the router's anti-entropy loop. *)
+
 val run : ring:Ring.t -> replicas:int -> repair:bool -> source list -> report
 
 val report_to_json : report -> Bi_engine.Sink.json

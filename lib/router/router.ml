@@ -1,5 +1,6 @@
 module Sink = Bi_engine.Sink
 module Clock = Bi_engine.Clock
+module Metrics = Bi_engine.Metrics
 module Client = Bi_serve.Client
 module Protocol = Bi_serve.Protocol
 module Tier = Bi_serve.Tier
@@ -37,9 +38,68 @@ let default_config =
    cadence never starves behind a large divergence. *)
 let repair_buckets_per_round = 16
 
+(* The router's instruments, registered in the member order of the
+   [router] object that [stats] and the metrics dump render. *)
+type metrics = {
+  registry : Metrics.t;
+  requests : Metrics.counter;
+  errors : Metrics.counter;
+  front_hits : Metrics.counter;
+  forwards : Metrics.counter;  (* every exchange to a shard, puts included *)
+  failovers : Metrics.counter;  (* attempts that moved to the next owner *)
+  unrouted : Metrics.counter;  (* every owner tried, no usable answer *)
+  replications : Metrics.counter;  (* puts a shard acknowledged *)
+  replication_failures : Metrics.counter;
+  quorum_failures : Metrics.counter;  (* writes left short of [quorum] *)
+  probes : Metrics.counter;
+  probe_failures : Metrics.counter;
+  marked_up : Metrics.counter;
+  marked_down : Metrics.counter;
+  warmed : Metrics.counter;  (* front-cache entries pushed on recovery *)
+  hints_recorded : Metrics.counter;
+  hints_dropped : Metrics.counter;  (* evicted by the log's capacity *)
+  read_repairs : Metrics.counter;  (* hints parked by failover reads *)
+  repair_rounds : Metrics.counter;  (* owner pairs anti-entropy compared *)
+  divergent_keys : Metrics.counter;
+  repairs : Metrics.counter;  (* entries a hint drain or anti-entropy pushed *)
+  inflight : Metrics.gauge;
+  latency : Metrics.histogram;  (* of every handled line *)
+}
+
+let create_metrics () =
+  let registry = Metrics.create () in
+  let counter = Metrics.counter registry in
+  let requests = counter "requests" in
+  let errors = counter "errors" in
+  let front_hits = counter "front_hits" in
+  let forwards = counter "forwards" in
+  let failovers = counter "failovers" in
+  let unrouted = counter "unrouted" in
+  let replications = counter "replications" in
+  let replication_failures = counter "replication_failures" in
+  let quorum_failures = counter "quorum_failures" in
+  let probes = counter "probes" in
+  let probe_failures = counter "probe_failures" in
+  let marked_up = counter "marked_up" in
+  let marked_down = counter "marked_down" in
+  let warmed = counter "warmed" in
+  let hints_recorded = counter "hints_recorded" in
+  let hints_dropped = counter "hints_dropped" in
+  let read_repairs = counter "read_repairs" in
+  let repair_rounds = counter "repair_rounds" in
+  let divergent_keys = counter "divergent_keys" in
+  let repairs = counter "repairs" in
+  let inflight = Metrics.gauge registry "inflight" ~peak:"max_inflight" in
+  let latency = Metrics.histogram registry "latency_log2_us" in
+  { registry; requests; errors; front_hits; forwards; failovers; unrouted;
+    replications; replication_failures; quorum_failures; probes;
+    probe_failures; marked_up; marked_down; warmed; hints_recorded;
+    hints_dropped; read_repairs; repair_rounds; divergent_keys; repairs;
+    inflight; latency }
+
 type t = {
   config : config;
-  metrics : Metrics.t;
+  metrics : metrics;
   membership : Membership.t;
   mutable ring : Ring.t;  (* immutable value, swapped under [ring_lock] *)
   ring_lock : Mutex.t;
@@ -136,18 +196,18 @@ let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
         (fun () -> Client.request_line client line))
 
 let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
-  Metrics.forward t.metrics;
+  Metrics.incr t.metrics.forwards;
   match
     exchange t member (Sink.to_string (Protocol.put_request ~kind ~fingerprint body))
   with
   | Ok resp when Protocol.is_ok resp ->
-    Metrics.replication t.metrics;
+    Metrics.incr t.metrics.replications;
     true
   | Ok _ ->
-    Metrics.replication_failure t.metrics;
+    Metrics.incr t.metrics.replication_failures;
     false
   | Error _ ->
-    Metrics.replication_failure t.metrics;
+    Metrics.incr t.metrics.replication_failures;
     ignore (Membership.note_failure t.membership ~now:tick member);
     false
 
@@ -155,40 +215,44 @@ let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
    Down→Up transition, before warming. *)
 let hint t member ~fingerprint ~kind body =
   let dropped = Hints.record t.hints ~member ~fingerprint ~kind body in
-  Metrics.hint_recorded t.metrics;
-  for _ = 1 to dropped do
-    Metrics.hint_dropped t.metrics
-  done
+  Metrics.incr t.metrics.hints_recorded;
+  Metrics.add t.metrics.hints_dropped dropped
 
 let is_down t m = Membership.state t.membership m = Some Membership.Down
 
-(* Synchronous write fan-out after a fresh compute: the answering shard
-   already holds copy one; push copies to the remaining owners until
-   [quorum] copies exist.  A Down owner, or one that refuses the copy,
-   gets a hint instead of silence — the recovery drain converges it; a
-   missed quorum is counted, not failed — the client has its answer,
-   durability is degraded and visible. *)
+(* The write fan-out: put [body] to each of [members] in order until
+   [enough] of them have acked, and count the acks.  A Down owner, or
+   one that refuses the copy, gets a hint instead of silence — the
+   recovery drain converges it. *)
+let put_or_hint t ~tick ~kind ~fingerprint ~enough members body =
+  List.fold_left
+    (fun acks m ->
+      if is_down t m then begin
+        hint t m ~fingerprint ~kind body;
+        acks
+      end
+      else if acks >= enough then acks
+      else if put_to t ~tick ~kind m ~fingerprint body then acks + 1
+      else begin
+        hint t m ~fingerprint ~kind body;
+        acks
+      end)
+    0 members
+
+(* Synchronous replication after a fresh compute: the answering shard
+   already holds copy one, so the other owners are put to until
+   [quorum] copies exist.  A missed quorum is counted, not failed — the
+   client has its answer, durability is degraded and visible. *)
 let replicate t ~tick ~answered_by ~fingerprint analysis =
   let others =
     List.filter (fun m -> m <> answered_by) (owners t fingerprint)
   in
   let needed = t.config.quorum - 1 in
   let acks =
-    List.fold_left
-      (fun acks m ->
-        if is_down t m then begin
-          hint t m ~fingerprint ~kind:"analysis" analysis;
-          acks
-        end
-        else if acks >= needed then acks
-        else if put_to t ~tick m ~fingerprint analysis then acks + 1
-        else begin
-          hint t m ~fingerprint ~kind:"analysis" analysis;
-          acks
-        end)
-      0 others
+    put_or_hint t ~tick ~kind:"analysis" ~fingerprint ~enough:needed others
+      analysis
   in
-  if acks < needed then Metrics.quorum_failure t.metrics
+  if acks < needed then Metrics.incr t.metrics.quorum_failures
 
 (* --- request routing -------------------------------------------------- *)
 
@@ -219,22 +283,22 @@ let route_analysis t ~tick ~request ~tier fingerprint =
   let front = Tier.front_cacheable tier in
   match if front then front_find t fingerprint else None with
   | Some analysis ->
-    Metrics.front_hit t.metrics;
+    Metrics.incr t.metrics.front_hits;
     Tier.front_hit ~fingerprint analysis
   | None ->
     let key_owners = owners t fingerprint in
     let rec attempt last failed = function
       | [] -> (
-        Metrics.unrouted t.metrics;
+        Metrics.incr t.metrics.unrouted;
         match last with
         | Some resp -> resp
         | None -> no_shard_error fingerprint)
       | member :: rest -> (
-        Metrics.forward t.metrics;
+        Metrics.incr t.metrics.forwards;
         match exchange t member request with
         | Error (Client.Io _ | Client.Malformed _ | Client.Closed) ->
           ignore (Membership.note_failure t.membership ~now:tick member);
-          if rest <> [] then Metrics.failover t.metrics;
+          if rest <> [] then Metrics.incr t.metrics.failovers;
           attempt last (member :: failed) rest
         | Ok resp -> (
           match Protocol.response_code resp with
@@ -257,45 +321,33 @@ let route_analysis t ~tick ~request ~tier fingerprint =
                 List.iter
                   (fun m ->
                     if List.mem m key_owners then begin
-                      Metrics.read_repair t.metrics;
+                      Metrics.incr t.metrics.read_repairs;
                       hint t m ~fingerprint ~kind:"analysis" analysis
                     end)
                   failed
             | None -> ());
             resp
           | Some "overloaded" ->
-            if rest <> [] then Metrics.failover t.metrics;
+            if rest <> [] then Metrics.incr t.metrics.failovers;
             attempt (Some resp) failed rest
           | _ -> resp))
     in
     attempt None [] (candidates t fingerprint)
 
 (* A [put] arriving at the router is a client-driven write: fan it out
-   to every routable owner and demand the quorum ourselves.  An owner
-   the write cannot reach — Down, or failing mid-fan-out — gets a hint,
-   so even a degraded write converges on recovery. *)
+   to every owner and demand the quorum ourselves, so even a degraded
+   write converges on recovery through its hints. *)
 let route_put t ~tick ~fingerprint ~kind body =
   if kind = "analysis" then front_store t fingerprint body;
   let all_owners = owners t fingerprint in
   let live = List.filter (fun m -> not (is_down t m)) all_owners in
   let acks =
-    List.fold_left
-      (fun acks m ->
-        if is_down t m then begin
-          hint t m ~fingerprint ~kind body;
-          acks
-        end
-        else if put_to t ~tick ~kind m ~fingerprint body then acks + 1
-        else begin
-          hint t m ~fingerprint ~kind body;
-          acks
-        end)
-      0 all_owners
+    put_or_hint t ~tick ~kind ~fingerprint ~enough:max_int all_owners body
   in
   if acks >= min t.config.quorum (max 1 (List.length live)) then
     Protocol.ok_stored ~fingerprint
   else begin
-    Metrics.quorum_failure t.metrics;
+    Metrics.incr t.metrics.quorum_failures;
     Protocol.error
       (Printf.sprintf "quorum not met for %s: %d/%d acks" fingerprint acks
          t.config.quorum)
@@ -315,7 +367,7 @@ let router_stats t =
   Sink.Obj
     [
       ("ok", Sink.Bool true);
-      ("router", Metrics.to_json t.metrics);
+      ("router", Metrics.to_json t.metrics.registry);
       ("members", members_json t);
       ("front", front_stats_json t);
       ("hints", Sink.Int (Hints.pending t.hints));
@@ -326,58 +378,71 @@ let router_health t =
     [
       ("ok", Sink.Bool true);
       ("shard", Sink.Str "router");
-      ("inflight", Sink.Int (Metrics.inflight t.metrics));
+      ("inflight", Sink.Int (Metrics.level t.metrics.inflight));
       ("members", members_json t);
       ("cache", front_stats_json t);
       ("hints", Sink.Int (Hints.pending t.hints));
     ]
 
-let handle t ~tick line =
-  Metrics.enter t.metrics;
-  Fun.protect
-    ~finally:(fun () -> Metrics.leave t.metrics)
-    (fun () ->
-      match Protocol.parse_request line with
+let dispatch t ~tick line =
+  match Protocol.parse_request line with
+  | Error e ->
+    Metrics.incr t.metrics.errors;
+    (Protocol.error e, `Continue)
+  | Ok { Protocol.query; _ } -> (
+    (* Routing keys are tier-qualified, so the tiers' answers for the
+       same game live on (possibly) different owners and never alias. *)
+    let route fingerprint ~mode ~concept =
+      let tier = Tier.of_query ~mode ~concept in
+      ( route_analysis t ~tick ~request:line ~tier
+          (Tier.routing_key tier fingerprint),
+        `Continue )
+    in
+    match query with
+    | Protocol.Analyze { graph; prior; mode; concept } ->
+      route (Fingerprint.game graph ~prior) ~mode ~concept
+    | Protocol.Construction { name; k; mode; concept } -> (
+      match Fingerprint.of_construction name k with
       | Error e ->
-        Metrics.error t.metrics;
+        Metrics.incr t.metrics.errors;
         (Protocol.error e, `Continue)
-      | Ok { Protocol.query; _ } -> (
-        (* Routing keys are tier-qualified, so the tiers' answers for
-           the same game live on (possibly) different owners and never
-           alias. *)
-        let route fingerprint ~mode ~concept =
-          let tier = Tier.of_query ~mode ~concept in
-          ( route_analysis t ~tick ~request:line ~tier
-              (Tier.routing_key tier fingerprint),
-            `Continue )
-        in
-        match query with
-        | Protocol.Analyze { graph; prior; mode; concept } ->
-          route (Fingerprint.game graph ~prior) ~mode ~concept
-        | Protocol.Construction { name; k; mode; concept } -> (
-          match Fingerprint.of_construction name k with
-          | Error e ->
-            Metrics.error t.metrics;
-            (Protocol.error e, `Continue)
-          | Ok fingerprint -> route fingerprint ~mode ~concept)
-        | Protocol.Put { fingerprint; value } ->
-          let kind, body =
-            match value with
-            | Bi_cache.Service.Analysis analysis ->
-              ("analysis", Bi_cache.Codec.analysis_to_json analysis)
-            | Bi_cache.Service.Payload body -> ("payload", body)
-          in
-          (route_put t ~tick ~fingerprint ~kind body, `Continue)
-        | Protocol.Digest _ | Protocol.Pull _ ->
-          (* Cluster-internal verbs: replica state lives on shards, the
-             router holds only an ephemeral front cache.  fsck and the
-             repair loop address shards directly. *)
-          ( Protocol.error
-              "digest/pull are shard verbs; address a shard directly",
-            `Continue )
-        | Protocol.Stats -> (router_stats t, `Continue)
-        | Protocol.Health -> (router_health t, `Continue)
-        | Protocol.Shutdown -> (Protocol.ok_shutdown, `Stop)))
+      | Ok fingerprint -> route fingerprint ~mode ~concept)
+    | Protocol.Put { fingerprint; value } ->
+      let kind, body =
+        match value with
+        | Bi_cache.Service.Analysis analysis ->
+          ("analysis", Bi_cache.Codec.analysis_to_json analysis)
+        | Bi_cache.Service.Payload body -> ("payload", body)
+      in
+      (route_put t ~tick ~fingerprint ~kind body, `Continue)
+    | Protocol.Digest _ | Protocol.Pull _ ->
+      (* Cluster-internal verbs: replica state lives on shards, the
+         router holds only an ephemeral front cache.  fsck and the
+         repair loop address shards directly. *)
+      ( Protocol.error "digest/pull are shard verbs; address a shard directly",
+        `Continue )
+    | Protocol.Stats -> (router_stats t, `Continue)
+    | Protocol.Health -> (router_health t, `Continue)
+    | Protocol.Shutdown -> (Protocol.ok_shutdown, `Stop))
+
+(* Every handled line is counted on entry and timed on exit, whether it
+   returns or raises, so after shutdown [requests] equals the
+   histogram's total. *)
+let handle t ~tick line =
+  Metrics.incr t.metrics.requests;
+  Metrics.enter t.metrics.inflight;
+  let t0 = Clock.now_ns () in
+  let finish () =
+    Metrics.leave t.metrics.inflight;
+    Metrics.observe t.metrics.latency ~ns:(Clock.now_ns () - t0)
+  in
+  match dispatch t ~tick line with
+  | answer ->
+    finish ();
+    answer
+  | exception e ->
+    finish ();
+    raise e
 
 (* --- health polling, warming, membership reload ----------------------- *)
 
@@ -391,7 +456,7 @@ let warm t ~tick member =
     (fun (fingerprint, analysis) ->
       if List.mem member (owners t fingerprint) then
         if put_to t ~tick member ~fingerprint analysis then
-          Metrics.warmed t.metrics)
+          Metrics.incr t.metrics.warmed)
     entries
 
 (* Deliver the writes a member missed while unreachable.  Runs on its
@@ -404,7 +469,7 @@ let drain_hints t ~tick member =
       if
         put_to t ~tick ~kind:h.Hints.kind member
           ~fingerprint:h.Hints.fingerprint h.Hints.body
-      then Metrics.repair t.metrics
+      then Metrics.incr t.metrics.repairs
       else
         ignore
           (Hints.record t.hints ~member ~fingerprint:h.Hints.fingerprint
@@ -412,7 +477,7 @@ let drain_hints t ~tick member =
     (Hints.take t.hints member)
 
 let probe t ~tick member =
-  Metrics.probe t.metrics;
+  Metrics.incr t.metrics.probes;
   let healthy =
     match
       exchange t ~timeout_s:t.config.probe_timeout_s member
@@ -424,14 +489,14 @@ let probe t ~tick member =
   if healthy then (
     match Membership.note_success t.membership ~now:tick member with
     | `Recovered ->
-      Metrics.marked_up t.metrics;
+      Metrics.incr t.metrics.marked_up;
       drain_hints t ~tick member;
       warm t ~tick member
     | `Ok -> ())
   else begin
-    Metrics.probe_failure t.metrics;
+    Metrics.incr t.metrics.probe_failures;
     match Membership.note_failure t.membership ~now:tick member with
-    | `Went_down -> Metrics.marked_down t.metrics
+    | `Went_down -> Metrics.incr t.metrics.marked_down
     | `Ok -> ()
   end
 
@@ -477,21 +542,10 @@ let repair_bucket t ~tick a b bucket =
       Fsck.divergences ~ring:(current_ring t) ~replicas:t.config.replicas
         [ (a, table pa); (b, table pb) ]
     in
-    if divergent <> [] then
-      Metrics.divergent t.metrics ~keys:(List.length divergent);
+    Metrics.add t.metrics.divergent_keys (List.length divergent);
     List.iter
       (fun (d : Fsck.divergence) ->
-        let targets =
-          d.Fsck.missing
-          @ List.filter_map
-              (fun (n, check) ->
-                if
-                  n <> d.Fsck.authority
-                  && check <> List.assoc d.Fsck.authority d.Fsck.holders
-                then Some n
-                else None)
-              d.Fsck.holders
-        in
+        let targets = Fsck.targets d in
         if targets <> [] then begin
           match
             exchange t d.Fsck.authority
@@ -507,7 +561,7 @@ let repair_bucket t ~tick a b bucket =
                     put_to t ~tick ~kind:entry.Bi_cache.Store.kind target
                       ~fingerprint:entry.Bi_cache.Store.key
                       entry.Bi_cache.Store.body
-                  then Metrics.repair t.metrics)
+                  then Metrics.incr t.metrics.repairs)
                 targets
             | Ok [] | Error _ -> ())
         end)
@@ -525,7 +579,7 @@ let repair_round t ~tick =
   in
   let n = List.length ups in
   if n >= 2 then begin
-    Metrics.repair_round t.metrics;
+    Metrics.incr t.metrics.repair_rounds;
     let a = List.nth ups (t.repair_cursor mod n) in
     let b = List.nth ups ((t.repair_cursor + 1) mod n) in
     t.repair_cursor <- t.repair_cursor + 1;
@@ -642,21 +696,17 @@ let poller t =
 (* --- lifecycle -------------------------------------------------------- *)
 
 let dump_metrics t path =
-  let oc = open_out path in
+  let sink = Sink.create path in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () -> Sink.close sink)
     (fun () ->
-      let j =
-        Sink.Obj
-          [
-            ("record", Sink.Str "router_metrics");
-            ("router", Metrics.to_json t.metrics);
-            ("members", members_json t);
-            ("front", front_stats_json t);
-          ]
-      in
-      output_string oc (Sink.to_string j);
-      output_char oc '\n')
+      Sink.emit sink
+        [
+          ("record", Sink.Str "router_metrics");
+          ("router", Metrics.to_json t.metrics.registry);
+          ("members", members_json t);
+          ("front", front_stats_json t);
+        ])
 
 let handle_conn t oc line =
   (* The poller owns the tick clock; request threads read a coarse
@@ -689,7 +739,7 @@ let run ?on_ready ?metrics_out ?members_file ?hints_path
   let t =
     {
       config;
-      metrics = Metrics.create ();
+      metrics = create_metrics ();
       membership = Membership.create members;
       ring = Ring.create ~vnodes:config.vnodes members;
       ring_lock = Mutex.create ();

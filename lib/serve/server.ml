@@ -1,4 +1,6 @@
 module Sink = Bi_engine.Sink
+module Clock = Bi_engine.Clock
+module Metrics = Bi_engine.Metrics
 module Pool = Bi_engine.Pool
 module Budget = Bi_engine.Budget
 module Service = Bi_cache.Service
@@ -18,10 +20,44 @@ type limits = {
 let default_limits =
   { max_concurrent = 8; max_queue = 64; idle_timeout_s = 0.; max_deadline_ms = 0 }
 
+(* The server's instruments, registered in the member order of the
+   [server] object that [stats] and the metrics dump render. *)
+type metrics = {
+  registry : Metrics.t;
+  requests : Metrics.counter;
+  errors : Metrics.counter;
+  hits : Metrics.counter;
+  misses : Metrics.counter;
+  coalesced : Metrics.counter;
+  overloaded : Metrics.counter;
+  deadline_exceeded : Metrics.counter;
+  idle_closed : Metrics.counter;
+  faults_injected : Metrics.counter;
+  queue : Metrics.gauge;  (* requests being handled *)
+  latency : Metrics.histogram;
+}
+
+let create_metrics () =
+  let registry = Metrics.create () in
+  let counter = Metrics.counter registry in
+  let requests = counter "requests" in
+  let errors = counter "errors" in
+  let hits = counter "hits" in
+  let misses = counter "misses" in
+  let coalesced = counter "coalesced" in
+  let overloaded = counter "overloaded" in
+  let deadline_exceeded = counter "deadline_exceeded" in
+  let idle_closed = counter "idle_closed" in
+  let faults_injected = counter "faults_injected" in
+  let queue = Metrics.gauge registry "queue_depth" ~peak:"max_queue_depth" in
+  let latency = Metrics.histogram registry "latency_log2_us" in
+  { registry; requests; errors; hits; misses; coalesced; overloaded;
+    deadline_exceeded; idle_closed; faults_injected; queue; latency }
+
 type t = {
   cache : Service.t;
   pool : Pool.t option;
-  metrics : Metrics.t;
+  metrics : metrics;
   limits : limits;
   chaos : Chaos.t option;
   ls : Lineserver.t;
@@ -112,7 +148,10 @@ let compute t ~budget ~chaos_delay_ms ~key ~hit solve =
   let rec obtain ~waited =
     match Service.find t.cache key with
     | Some v when hit v ->
-      if waited then Metrics.coalesce t.metrics else Metrics.hit t.metrics;
+      (* A coalesced waiter is answered from the leader's fresh entry,
+         so it counts as a hit as well. *)
+      Metrics.incr t.metrics.hits;
+      if waited then Metrics.incr t.metrics.coalesced;
       Mutex.unlock t.lock;
       Ok (v, true)
     | Some _ | None ->
@@ -127,7 +166,7 @@ let compute t ~budget ~chaos_delay_ms ~key ~hit solve =
       else begin
         Hashtbl.add t.inflight key ();
         Mutex.unlock t.lock;
-        Metrics.miss t.metrics;
+        Metrics.incr t.metrics.misses;
         let result =
           match try_admit t ~budget with
           | Error _ as e -> e
@@ -167,13 +206,13 @@ let budget_of t deadline_ms =
 
 let failure_response t = function
   | Overloaded hint ->
-    Metrics.overload t.metrics;
+    Metrics.incr t.metrics.overloaded;
     (Protocol.overloaded ~retry_after_ms:hint, `Continue)
   | Deadline ->
-    Metrics.deadline_exceeded t.metrics;
+    Metrics.incr t.metrics.deadline_exceeded;
     (Protocol.deadline_exceeded, `Continue)
   | Msg e ->
-    Metrics.error t.metrics;
+    Metrics.incr t.metrics.errors;
     (Protocol.error e, `Continue)
 
 (* Answer one analysis request of a resolved tier: its key, its solver
@@ -216,7 +255,7 @@ let handle_query t ~budget ~chaos_delay_ms query =
        profiles). *)
     match Fingerprint.of_construction name k with
     | Error e ->
-      Metrics.error t.metrics;
+      Metrics.incr t.metrics.errors;
       (Protocol.error e, `Continue)
     | Ok fingerprint ->
       dispatch t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept (fun () ->
@@ -254,40 +293,41 @@ let handle_query t ~budget ~chaos_delay_ms query =
     chaos_sleep chaos_delay_ms;
     let stats = Service.stats t.cache in
     let shard = Option.value stats.Service.shard ~default:"unnamed" in
-    ( Protocol.ok_health ~shard ~inflight:(Metrics.inflight t.metrics)
+    ( Protocol.ok_health ~shard ~inflight:(Metrics.level t.metrics.queue)
         ~cache:(Service.stats_to_json stats),
       `Continue )
   | Protocol.Stats ->
     chaos_sleep chaos_delay_ms;
     ( Protocol.ok_stats
         ~cache:(Service.stats_to_json (Service.stats t.cache))
-        ~server:(Metrics.to_json t.metrics),
+        ~server:(Metrics.to_json t.metrics.registry),
       `Continue )
   | Protocol.Shutdown ->
     chaos_sleep chaos_delay_ms;
     (Protocol.ok_shutdown, `Stop)
 
 let handle_line t ~chaos_delay_ms line =
-  Metrics.request t.metrics;
-  Metrics.enter t.metrics;
-  let t0 = Bi_engine.Clock.now_ns () in
+  Metrics.incr t.metrics.requests;
+  Metrics.enter t.metrics.queue;
+  let t0 = Clock.now_ns () in
   let response, disposition =
     match Protocol.parse_request line with
     | Error e ->
-      Metrics.error t.metrics;
+      Metrics.incr t.metrics.errors;
       (Protocol.error e, `Continue)
     | Ok { Protocol.query; deadline_ms } -> (
       let budget = budget_of t deadline_ms in
       match handle_query t ~budget ~chaos_delay_ms query with
       | r -> r
       | exception Budget.Expired ->
-        Metrics.deadline_exceeded t.metrics;
+        Metrics.incr t.metrics.deadline_exceeded;
         (Protocol.deadline_exceeded, `Continue)
       | exception exn ->
-        Metrics.error t.metrics;
+        Metrics.incr t.metrics.errors;
         (Protocol.error (Printexc.to_string exn), `Continue))
   in
-  Metrics.leave t.metrics ~seconds:(Bi_engine.Clock.since t0);
+  Metrics.leave t.metrics.queue;
+  Metrics.observe t.metrics.latency ~ns:(Clock.now_ns () - t0);
   (response, disposition)
 
 (* One protocol exchange, including the chaos transport decision: a
@@ -299,7 +339,7 @@ let handle_conn_line t oc line =
     | None -> Chaos.deliver
     | Some c -> Chaos.response_action c
   in
-  if Chaos.faulty action then Metrics.fault_injected t.metrics;
+  if Chaos.faulty action then Metrics.incr t.metrics.faults_injected;
   let response, disposition =
     handle_line t ~chaos_delay_ms:action.Chaos.delay_ms line
   in
@@ -330,27 +370,23 @@ let handle_conn_line t oc line =
 (* --- lifecycle ------------------------------------------------------- *)
 
 let dump_metrics t path =
-  let oc = open_out path in
+  let sink = Sink.create path in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
+    ~finally:(fun () -> Sink.close sink)
     (fun () ->
-      let j =
-        Sink.Obj
-          [
-            ("record", Sink.Str "serve_metrics");
-            ("server", Metrics.to_json t.metrics);
-            ("cache", Service.stats_to_json (Service.stats t.cache));
-          ]
-      in
-      output_string oc (Sink.to_string j);
-      output_char oc '\n')
+      Sink.emit sink
+        [
+          ("record", Sink.Str "serve_metrics");
+          ("server", Metrics.to_json t.metrics.registry);
+          ("cache", Service.stats_to_json (Service.stats t.cache));
+        ])
 
 let run ?pool ?metrics_out ?on_ready ?(limits = default_limits) ?chaos ~cache
     listen =
-  let metrics = Metrics.create () in
+  let metrics = create_metrics () in
   let ls =
     Lineserver.create ~idle_timeout_s:limits.idle_timeout_s
-      ~on_idle_close:(fun () -> Metrics.idle_close metrics)
+      ~on_idle_close:(fun () -> Metrics.incr metrics.idle_closed)
       listen
   in
   let t =
@@ -376,7 +412,7 @@ let run ?pool ?metrics_out ?on_ready ?(limits = default_limits) ?chaos ~cache
       match Chaos.connection_action c with
       | `Proceed -> `Proceed
       | (`Refuse | `Stall _) as fault ->
-        Metrics.fault_injected t.metrics;
+        Metrics.incr t.metrics.faults_injected;
         fault)
   in
   Lineserver.run ?on_ready ~on_accept ~handler:(handle_conn_line t) ls;

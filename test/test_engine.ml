@@ -1,12 +1,14 @@
 (* Tests for the parallel evaluation engine: pool/sequential agreement on
    every construction at small k, order-independence (and determinism) of
-   the monoid reductions, JSON escaping round-trips, and pool plumbing
-   (exception propagation, reuse, nesting). *)
+   the monoid reductions, JSON escaping round-trips, pool plumbing
+   (exception propagation, reuse, nesting), and the metrics registry's
+   laws. *)
 
 open Bi_num
 module Pool = Bi_engine.Pool
 module Reduce = Bi_engine.Reduce
 module Sink = Bi_engine.Sink
+module Metrics = Bi_engine.Metrics
 module Complete = Bi_ncs.Complete
 module Bncs = Bi_ncs.Bayesian_ncs
 module Measures = Bi_bayes.Measures
@@ -495,6 +497,99 @@ let test_budget_huge_timeout_saturates () =
       | None -> Alcotest.failf "%s: no remaining time" what)
     [ 9_007_199_254_740_991; max_int / 1_000_000; max_int ]
 
+(* --- metrics registry ---------------------------------------------------- *)
+
+let histogram_counts j name =
+  match Sink.member name j with
+  | Some (Sink.List buckets) ->
+    List.map
+      (fun b ->
+        match (Sink.member "le_us" b, Sink.member "count" b) with
+        | Some (Sink.Int le), Some (Sink.Int n) -> (le, n)
+        | _ -> Alcotest.fail "malformed bucket")
+      buckets
+  | _ -> Alcotest.failf "histogram %s missing" name
+
+(* Four threads and two domains hammer one counter, gauge and histogram
+   at once: no update is lost, the gauge ends at zero, and its peak is
+   a level some moment really had. *)
+let test_metrics_concurrent () =
+  let r = Metrics.create () in
+  let c = Metrics.counter r "c" in
+  let added = Metrics.counter r "added" in
+  let g = Metrics.gauge r "g" ~peak:"g_max" in
+  let h = Metrics.histogram r "h" in
+  let rounds = 20_000 in
+  let work () =
+    for _ = 1 to rounds do
+      Metrics.incr c;
+      Metrics.add added 3;
+      Metrics.enter g;
+      Metrics.observe h ~ns:5_000;
+      Metrics.leave g
+    done
+  in
+  let threads = List.init 4 (fun _ -> Thread.create work ()) in
+  let domains = List.init 2 (fun _ -> Domain.spawn work) in
+  List.iter Thread.join threads;
+  List.iter Domain.join domains;
+  let workers = 6 in
+  Alcotest.(check int) "counter" (workers * rounds) (Metrics.count c);
+  Alcotest.(check int) "add" (3 * workers * rounds) (Metrics.count added);
+  Alcotest.(check int) "gauge back to zero" 0 (Metrics.level g);
+  let j = Metrics.to_json r in
+  Alcotest.(check bool) "peak within the workers" true
+    (match Sink.member "g_max" j with
+    | Some (Sink.Int p) -> p >= 1 && p <= workers
+    | _ -> false);
+  Alcotest.(check (list (pair int int))) "every latency in its bucket"
+    [ (1, 0); (3, 0); (7, workers * rounds) ]
+    (histogram_counts j "h")
+
+let test_metrics_gauge () =
+  let r = Metrics.create () in
+  let g = Metrics.gauge r "depth" ~peak:"max_depth" in
+  List.iter
+    (fun step -> if step then Metrics.enter g else Metrics.leave g)
+    [ true; true; true; false; false; true; false; false ];
+  Alcotest.(check int) "level" 0 (Metrics.level g);
+  Alcotest.(check string) "level and high-water mark"
+    {|{"depth":0,"max_depth":3}|}
+    (Sink.to_string (Metrics.to_json r))
+
+(* Bucket i > 0 holds 2^i .. 2^(i+1) - 1 whole microseconds; bucket 0
+   everything up to 1 us; the last bucket everything beyond. *)
+let test_metrics_histogram_edges () =
+  let r = Metrics.create () in
+  let h = Metrics.histogram r "latency_log2_us" in
+  Alcotest.(check string) "empty histogram" {|{"latency_log2_us":[]}|}
+    (Sink.to_string (Metrics.to_json r));
+  List.iter
+    (fun ns -> Metrics.observe h ~ns)
+    [ 0; 999; 1_999; 2_000; 3_999; 4_000; max_int ];
+  let counts = histogram_counts (Metrics.to_json r) "latency_log2_us" in
+  Alcotest.(check int) "32 buckets up to the last non-empty one" 32
+    (List.length counts);
+  Alcotest.(check (list (pair int int))) "first buckets"
+    [ (1, 3); (3, 2); (7, 1); (15, 0) ]
+    (List.filteri (fun i _ -> i < 4) counts);
+  Alcotest.(check (pair int int)) "huge values land in the last bucket"
+    ((1 lsl 32) - 1, 1)
+    (List.nth counts 31)
+
+let test_metrics_registration_order () =
+  let r = Metrics.create () in
+  let zeta = Metrics.counter r "zeta" in
+  let g = Metrics.gauge r "alpha" ~peak:"alpha_max" in
+  let _mid = Metrics.counter r "mid" in
+  let h = Metrics.histogram r "h" in
+  Metrics.incr zeta;
+  Metrics.enter g;
+  Metrics.observe h ~ns:2_500;
+  Alcotest.(check string) "members in registration order"
+    {|{"zeta":1,"alpha":1,"alpha_max":1,"mid":0,"h":[{"le_us":1,"count":0},{"le_us":3,"count":1}]}|}
+    (Sink.to_string (Metrics.to_json r))
+
 let parser_qtests =
   List.map QCheck_alcotest.to_alcotest [ prop_parse_print_roundtrip ]
 
@@ -544,6 +639,17 @@ let () =
             test_budget_remaining_never_increases;
           Alcotest.test_case "huge timeouts saturate" `Quick
             test_budget_huge_timeout_saturates;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "no lost concurrent updates" `Quick
+            test_metrics_concurrent;
+          Alcotest.test_case "gauge level and high-water" `Quick
+            test_metrics_gauge;
+          Alcotest.test_case "histogram bucket edges" `Quick
+            test_metrics_histogram_edges;
+          Alcotest.test_case "json in registration order" `Quick
+            test_metrics_registration_order;
         ] );
       ( "graph-store",
         [

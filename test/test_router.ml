@@ -1028,6 +1028,124 @@ let test_router_forwards_verbatim () =
             true (List.mem line seen))
         lines)
 
+(* The member names and order of the [server] and [router] objects, in
+   [stats] and in both metrics dumps, are read by the benchmark, CI and
+   [bi chaos --cluster]: they are pinned here.  The router's latency
+   histogram is its last member.  After shutdown every handled line has
+   been counted on entry and timed on exit, so each dump's histogram
+   totals its [requests]. *)
+let server_members =
+  [
+    "requests"; "errors"; "hits"; "misses"; "coalesced"; "overloaded";
+    "deadline_exceeded"; "idle_closed"; "faults_injected"; "queue_depth";
+    "max_queue_depth"; "latency_log2_us";
+  ]
+
+let router_members =
+  [
+    "requests"; "errors"; "front_hits"; "forwards"; "failovers"; "unrouted";
+    "replications"; "replication_failures"; "quorum_failures"; "probes";
+    "probe_failures"; "marked_up"; "marked_down"; "warmed"; "hints_recorded";
+    "hints_dropped"; "read_repairs"; "repair_rounds"; "divergent_keys";
+    "repairs"; "inflight"; "max_inflight"; "latency_log2_us";
+  ]
+
+let test_metrics_member_golden () =
+  let dir = Filename.temp_file "bi_golden" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let shard_sock = Filename.concat dir "shard.sock" in
+  let shard_out = Filename.concat dir "serve_metrics.json" in
+  let router_sock = Filename.concat dir "router.sock" in
+  let router_out = Filename.concat dir "router_metrics.json" in
+  let cache = Service.create ~shard:"shard-a" () in
+  let th_shard =
+    with_ready_thread (fun ~on_ready ->
+        Server.run ~on_ready ~metrics_out:shard_out ~cache
+          (Server.Unix_socket shard_sock))
+  in
+  let d = Client.connect_unix shard_sock in
+  (* Before the router starts probing the shard, the only line in flight
+     there is this health request itself. *)
+  let shard_health = request_ok d Protocol.health_request in
+  let config =
+    { Router.default_config with replicas = 1; quorum = 1; probe_interval_s = 0.05 }
+  in
+  let th_router =
+    with_ready_thread (fun ~on_ready ->
+        Router.run ~on_ready ~metrics_out:router_out ~config
+          ~members:[ shard_sock ]
+          (Bi_serve.Lineserver.Unix_socket router_sock))
+  in
+  let names = function
+    | Some (Sink.Obj fields) -> List.map fst fields
+    | _ -> Alcotest.fail "not an object"
+  in
+  let check_names = Alcotest.(check (list string)) in
+  let c = Client.connect_unix router_sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Client.close d;
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_endpoint shard_sock;
+      Thread.join th_shard;
+      Service.close cache)
+    (fun () ->
+      let req = Protocol.construction_request ~name:"gworst-bliss" ~k:2 () in
+      ignore (request_ok c req);
+      ignore (request_ok c req);
+      (match Client.raw_request c "{\"op\": 42}" with
+      | Ok _ -> ()
+      | Error f -> Alcotest.fail (Client.failure_to_string f));
+      List.iter
+        (fun (what, health) ->
+          Alcotest.(check (option int))
+            (what ^ " health counts itself in flight")
+            (Some 1) (get_int "inflight" health))
+        [ ("router", request_ok c Protocol.health_request);
+          ("shard", shard_health) ];
+      let stats = request_ok c Protocol.stats_request in
+      check_names "router stats" [ "ok"; "router"; "members"; "front"; "hints" ]
+        (names (Some stats));
+      check_names "router stats router" router_members
+        (names (Sink.member "router" stats));
+      let stats = request_ok d Protocol.stats_request in
+      check_names "shard stats" [ "ok"; "cache"; "server" ] (names (Some stats));
+      check_names "shard stats server" server_members
+        (names (Sink.member "server" stats)));
+  let dump path =
+    match
+      Sink.of_string
+        (In_channel.with_open_text path In_channel.input_all |> String.trim)
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: %s" path e
+  in
+  let timed_all what obj =
+    let total =
+      match Sink.member "latency_log2_us" obj with
+      | Some (Sink.List buckets) ->
+        List.fold_left
+          (fun acc b -> acc + Option.value ~default:0 (get_int "count" b))
+          0 buckets
+      | _ -> -1
+    in
+    Alcotest.(check (option int)) (what ^ " histogram totals requests")
+      (get_int "requests" obj) (Some total)
+  in
+  let serve = dump shard_out and router = dump router_out in
+  check_names "serve dump" [ "record"; "server"; "cache" ] (names (Some serve));
+  check_names "serve dump server" server_members
+    (names (Sink.member "server" serve));
+  timed_all "serve dump" (Option.get (Sink.member "server" serve));
+  check_names "router dump" [ "record"; "router"; "members"; "front" ]
+    (names (Some router));
+  check_names "router dump router" router_members
+    (names (Sink.member "router" router));
+  timed_all "router dump" (Option.get (Sink.member "router" router))
+
 let () =
   Alcotest.run "bi_router"
     [
@@ -1076,5 +1194,7 @@ let () =
             test_router_forwards_verbatim;
           Alcotest.test_case "auto answers are forwarded untouched" `Quick
             test_router_auto_tier;
+          Alcotest.test_case "metrics members keep their order" `Quick
+            test_metrics_member_golden;
         ] );
     ]

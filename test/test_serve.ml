@@ -1,6 +1,6 @@
-(* The analysis server: protocol parsing (including fuzzed garbage),
-   metrics accounting, and end-to-end exercises over a real Unix-domain
-   socket — duplicate request answered from cache, inline analyze,
+(* The analysis server: protocol parsing (including fuzzed garbage)
+   and end-to-end exercises over a real Unix-domain socket — duplicate
+   request answered from cache and counted as coalesced, inline analyze,
    error paths, shutdown, restart answering from the persisted store,
    deadlines, load shedding, idle timeouts, client reconnect, and the
    listener's refusal to clobber a live socket. *)
@@ -12,7 +12,6 @@ module Sink = Bi_engine.Sink
 module Codec = Bi_cache.Codec
 module Service = Bi_cache.Service
 module Protocol = Bi_serve.Protocol
-module Metrics = Bi_serve.Metrics
 module Server = Bi_serve.Server
 module Client = Bi_serve.Client
 module Chaos = Bi_serve.Chaos
@@ -293,46 +292,6 @@ let test_parse_hostile_inputs () =
   match Protocol.parse_request ({|{"op":"stats","pad":|} ^ deep 100 ^ "}") with
   | Ok { Protocol.query = Protocol.Stats; _ } -> ()
   | _ -> Alcotest.fail "moderate nesting rejected"
-
-let test_metrics_accounting () =
-  let m = Metrics.create () in
-  Metrics.request m;
-  Metrics.enter m;
-  Metrics.enter m;
-  Metrics.hit m;
-  Metrics.miss m;
-  Metrics.coalesce m;
-  Metrics.leave m ~seconds:0.000003;
-  Metrics.leave m ~seconds:0.1;
-  Metrics.error m;
-  Metrics.overload m;
-  Metrics.deadline_exceeded m;
-  Metrics.idle_close m;
-  Metrics.fault_injected m;
-  Metrics.fault_injected m;
-  let j = Metrics.to_json m in
-  let get k = match Sink.member k j with Some (Sink.Int n) -> n | _ -> -1 in
-  Alcotest.(check int) "requests" 1 (get "requests");
-  Alcotest.(check int) "errors" 1 (get "errors");
-  Alcotest.(check int) "hits include coalesced" 2 (get "hits");
-  Alcotest.(check int) "misses" 1 (get "misses");
-  Alcotest.(check int) "coalesced" 1 (get "coalesced");
-  Alcotest.(check int) "overloaded" 1 (get "overloaded");
-  Alcotest.(check int) "deadline_exceeded" 1 (get "deadline_exceeded");
-  Alcotest.(check int) "idle_closed" 1 (get "idle_closed");
-  Alcotest.(check int) "faults_injected" 2 (get "faults_injected");
-  Alcotest.(check int) "gauge back to zero" 0 (get "queue_depth");
-  Alcotest.(check int) "high-water mark" 2 (get "max_queue_depth");
-  match Sink.member "latency_log2_us" j with
-  | Some (Sink.List buckets) ->
-    let count =
-      List.fold_left
-        (fun acc b ->
-          match Sink.member "count" b with Some (Sink.Int c) -> acc + c | _ -> acc)
-        0 buckets
-    in
-    Alcotest.(check int) "both latencies bucketed" 2 count
-  | _ -> Alcotest.fail "histogram missing"
 
 (* --- retry backoff laws ----------------------------------------------- *)
 
@@ -780,6 +739,42 @@ let test_metrics_dump () =
         Alcotest.(check bool) "has cache section" true
           (Sink.member "cache" j <> None))
 
+(* Two clients ask for the same construction while chaos holds the
+   leader in its compute delay: the second waits for the leader, is
+   answered from the fresh entry, and counts as coalesced and as a hit. *)
+let test_coalesced_counted () =
+  let chaos =
+    Chaos.create { Chaos.disabled with seed = 3; delay_p = 1.; delay_ms = 400 }
+  in
+  with_server ~chaos (fun ~socket ~metrics_out:_ ->
+      let req = Protocol.construction_request ~name:"gworst-bliss" ~k:3 () in
+      let first = ref None in
+      let leader =
+        Thread.create
+          (fun () ->
+            let c = Client.connect_unix socket in
+            first := get_bool "cached" (request_ok c req);
+            Client.close c)
+          ()
+      in
+      Thread.delay 0.15;  (* the leader is inside its 400 ms delay *)
+      let c = Client.connect_unix socket in
+      let second = get_bool "cached" (request_ok c req) in
+      Thread.join leader;
+      Alcotest.(check (list (option bool))) "one computed, one from cache"
+        [ Some false; Some true ]
+        (List.sort compare [ !first; second ]);
+      let server =
+        Option.get (Sink.member "server" (request_ok c Protocol.stats_request))
+      in
+      let get k =
+        match Sink.member k server with Some (Sink.Int n) -> n | _ -> -1
+      in
+      Alcotest.(check int) "coalesced" 1 (get "coalesced");
+      Alcotest.(check int) "hits count the coalesced waiter" 1 (get "hits");
+      Alcotest.(check int) "one miss, the leader's" 1 (get "misses");
+      Client.close c)
+
 (* Garbage on the wire gets a structured error and leaves both the
    connection and the server fully usable. *)
 let test_survives_garbage () =
@@ -1204,7 +1199,6 @@ let () =
             test_concept_round_trip;
           QCheck_alcotest.to_alcotest fuzz_parse_total;
           Alcotest.test_case "hostile inputs" `Quick test_parse_hostile_inputs;
-          Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
           Alcotest.test_case "chaos spec parsing" `Quick test_chaos_parse;
           Alcotest.test_case "digest and pull parsing" `Quick
             test_parse_digest_pull;
@@ -1227,6 +1221,8 @@ let () =
             `Quick test_cli_matches_server;
           Alcotest.test_case "health and put verbs" `Quick test_health_and_put;
           Alcotest.test_case "metrics dump on shutdown" `Quick test_metrics_dump;
+          Alcotest.test_case "coalesced duplicate is a hit" `Quick
+            test_coalesced_counted;
           Alcotest.test_case "survives garbage on the wire" `Quick
             test_survives_garbage;
           Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
