@@ -466,8 +466,10 @@ let router socket tcp members members_file replicas quorum front_capacity
 
 (* --- fsck --- *)
 
-(* One connection per exchange, mirroring the router's shard transport:
-   fsck must see a partitioned shard as unreachable, not camp on it. *)
+(* One connection per exchange, like the router's poller (its probes,
+   hint drains and anti-entropy; only its request path keeps persistent
+   links): fsck must see a partitioned shard as unreachable, not camp
+   on it. *)
 let fsck_exchange_source ~timeout_s member =
   Router.Fsck.exchange_source ~name:member (fun request ->
       match Router.Router.addr_of_member member with
@@ -1101,6 +1103,34 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
              ~deadline_at:(Engine.Clock.after_ms 20_000))
       in
       let timeline_th = Thread.create timeline () in
+      (* One connection to the partitioned shard held through the soak,
+         sending [health] every 50 ms: partitions are decided per line,
+         so a window must hang up on it unanswered at least once, as on
+         a new connection. *)
+      let persistent_hang_ups = Atomic.make 0 in
+      let persistent_th =
+        Option.map
+          (fun i ->
+            (* One attempt per ping; a broken connection is reopened
+               before the next one. *)
+            let retry = { Serve.Client.default_retry with attempts = 1 } in
+            let client = connect_shard (List.nth members i) () in
+            Thread.create
+              (fun () ->
+                while not (passed stop_at) do
+                  (match
+                     Serve.Client.request ~retry client
+                       Serve.Protocol.health_request
+                   with
+                  | Error _ when Serve.Client.hung_up client ->
+                    Atomic.incr persistent_hang_ups
+                  | Ok _ | Error _ -> ());
+                  Thread.delay 0.05
+                done;
+                Serve.Client.close client)
+              ())
+          chaos_target
+      in
       let tallies = Array.init clients (fun _ -> new_tally ()) in
       let workers =
         Array.mapi
@@ -1115,13 +1145,18 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
       in
       Array.iter Thread.join workers;
       Thread.join timeline_th;
+      Option.iter
+        (fun th ->
+          Thread.join th;
+          check "persistent_link_hung_up" (Atomic.get persistent_hang_ups > 0))
+        persistent_th;
       check "router_identity_after_recovery"
         (identical "post-recovery router fetch" (fetch_warm connect_router));
       check "victim_store_identity"
         (identical "restarted victim fetch"
            (fetch_warm ~attempts:5 (connect_shard victim_member)));
       (* Heal the partition before judging convergence — a shard still
-         refusing random connections would make online fsck flap. *)
+         hanging up on random lines would make online fsck flap. *)
       (match chaos_target with
       | None -> ()
       | Some i ->
@@ -1713,8 +1748,9 @@ let chaos_cmd =
       & info [ "partition-p" ] ~docv:"P"
           ~doc:
             "Cluster mode: give one non-owner shard partition chaos — \
-             each accepted connection opens, with probability $(docv), a \
-             window during which the shard refuses every connection. \
+             each request line opens, with probability $(docv), a \
+             window during which the shard hangs up on every line, on \
+             new and open connections alike. \
              The soak then requires the healing paths to converge: \
              divergence must appear while the victim is down and \
              $(b,bi fsck) must report zero divergent keys afterwards.")

@@ -64,6 +64,7 @@ type metrics = {
   repairs : Metrics.counter;  (* entries a hint drain or anti-entropy pushed *)
   inflight : Metrics.gauge;
   latency : Metrics.histogram;  (* of every handled line *)
+  connects : Metrics.counter;  (* shard connections opened *)
 }
 
 let create_metrics () =
@@ -91,11 +92,13 @@ let create_metrics () =
   let repairs = counter "repairs" in
   let inflight = Metrics.gauge registry "inflight" ~peak:"max_inflight" in
   let latency = Metrics.histogram registry "latency_log2_us" in
+  (* Last, so every member registered before it keeps its position. *)
+  let connects = counter "connects" in
   { registry; requests; errors; front_hits; forwards; failovers; unrouted;
     replications; replication_failures; quorum_failures; probes;
     probe_failures; marked_up; marked_down; warmed; hints_recorded;
     hints_dropped; read_repairs; repair_rounds; divergent_keys; repairs;
-    inflight; latency }
+    inflight; latency; connects }
 
 type t = {
   config : config;
@@ -178,12 +181,17 @@ let front_snapshot t =
 
 (* --- talking to shards ------------------------------------------------ *)
 
-(* One connection per exchange, no retry loop: a failed or overloaded
-   shard must surface immediately so the router can fail over to the
-   next owner instead of camping on a corpse; the health prober (not
-   the request path) is what decides a shard is down.  [line] is sent
-   verbatim: a client's request is forwarded as the bytes it sent. *)
-let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
+(* An exchange sends one line to a member and reads its one-line
+   answer.  No retry loop: a failed or overloaded shard must surface
+   immediately so the router can fail over to the next owner instead of
+   camping on a corpse; the health prober (not the request path) is
+   what decides a shard is down.  [line] is sent verbatim: a client's
+   request is forwarded as the bytes it sent.  Two transports send it:
+   a request-path worker's persistent links ({!exchange_linked}) and
+   the poller's one-shot connections ({!exchange}). *)
+type send = string -> string -> (Sink.json, Client.failure) result
+
+let connect t ~timeout_s member =
   match addr_of_member member with
   | Error e -> Error (Client.Io e)
   | Ok addr -> (
@@ -191,14 +199,56 @@ let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
     | exception Unix.Unix_error (err, _, _) ->
       Error (Client.Io (Unix.error_message err))
     | client ->
+      Metrics.incr t.metrics.connects;
+      Ok client)
+
+(* One connection per exchange: the poller's probes, hint drains,
+   warming and anti-entropy.  A probe on a fresh connection proves that
+   the shard's accept loop still answers. *)
+let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
+  Result.bind (connect t ~timeout_s member) (fun client ->
       Fun.protect
         ~finally:(fun () -> Client.close client)
         (fun () -> Client.request_line client line))
 
-let put_to t ~tick ?(kind = "analysis") member ~fingerprint body =
+(* A router worker — the [Lineserver] thread serving one client
+   connection — keeps at most one idle link per member, and only that
+   thread touches them.  They are closed when the client connection
+   ends, so the links number at most live client connections times
+   members. *)
+type links = (string, Client.t) Hashtbl.t
+
+(* The request path's exchange, over the worker's link to [member] when
+   it has one.  A reused link that the shard closed while it sat idle
+   (an idle timeout, a restart) fails before any answer arrives; it is
+   dropped and the line sent once more on a fresh connection before the
+   exchange counts as a transport failure.  A link that answered goes
+   back into [links]; one that failed is closed. *)
+let exchange_linked t (links : links) member line =
+  let settle client result =
+    (match result with
+    | Ok _ -> Hashtbl.replace links member client
+    | Error _ -> Client.close client);
+    result
+  in
+  let fresh () =
+    Result.bind (connect t ~timeout_s:t.config.shard_timeout_s member)
+      (fun client -> settle client (Client.request_line client line))
+  in
+  match Hashtbl.find_opt links member with
+  | None -> fresh ()
+  | Some client -> (
+    Hashtbl.remove links member;
+    match Client.request_line client line with
+    | Error _ when Client.hung_up client ->
+      Client.close client;
+      fresh ()
+    | result -> settle client result)
+
+let put_to t ~(send : send) ~tick ?(kind = "analysis") member ~fingerprint body =
   Metrics.incr t.metrics.forwards;
   match
-    exchange t member (Sink.to_string (Protocol.put_request ~kind ~fingerprint body))
+    send member (Sink.to_string (Protocol.put_request ~kind ~fingerprint body))
   with
   | Ok resp when Protocol.is_ok resp ->
     Metrics.incr t.metrics.replications;
@@ -224,7 +274,7 @@ let is_down t m = Membership.state t.membership m = Some Membership.Down
    [enough] of them have acked, and count the acks.  A Down owner, or
    one that refuses the copy, gets a hint instead of silence — the
    recovery drain converges it. *)
-let put_or_hint t ~tick ~kind ~fingerprint ~enough members body =
+let put_or_hint t ~send ~tick ~kind ~fingerprint ~enough members body =
   List.fold_left
     (fun acks m ->
       if is_down t m then begin
@@ -232,7 +282,7 @@ let put_or_hint t ~tick ~kind ~fingerprint ~enough members body =
         acks
       end
       else if acks >= enough then acks
-      else if put_to t ~tick ~kind m ~fingerprint body then acks + 1
+      else if put_to t ~send ~tick ~kind m ~fingerprint body then acks + 1
       else begin
         hint t m ~fingerprint ~kind body;
         acks
@@ -243,14 +293,14 @@ let put_or_hint t ~tick ~kind ~fingerprint ~enough members body =
    already holds copy one, so the other owners are put to until
    [quorum] copies exist.  A missed quorum is counted, not failed — the
    client has its answer, durability is degraded and visible. *)
-let replicate t ~tick ~answered_by ~fingerprint analysis =
+let replicate t ~send ~tick ~answered_by ~fingerprint analysis =
   let others =
     List.filter (fun m -> m <> answered_by) (owners t fingerprint)
   in
   let needed = t.config.quorum - 1 in
   let acks =
-    put_or_hint t ~tick ~kind:"analysis" ~fingerprint ~enough:needed others
-      analysis
+    put_or_hint t ~send ~tick ~kind:"analysis" ~fingerprint ~enough:needed
+      others analysis
   in
   if acks < needed then Metrics.incr t.metrics.quorum_failures
 
@@ -279,7 +329,7 @@ let no_shard_error fingerprint =
    front-cacheable tier ({!Tier.front_cacheable}) is looked up in, and
    stored to, the front cache and replicated; every other answer is
    forwarded untouched. *)
-let route_analysis t ~tick ~request ~tier fingerprint =
+let route_analysis t ~send ~tick ~request ~tier fingerprint =
   let front = Tier.front_cacheable tier in
   match if front then front_find t fingerprint else None with
   | Some analysis ->
@@ -295,7 +345,7 @@ let route_analysis t ~tick ~request ~tier fingerprint =
         | None -> no_shard_error fingerprint)
       | member :: rest -> (
         Metrics.incr t.metrics.forwards;
-        match exchange t member request with
+        match send member request with
         | Error (Client.Io _ | Client.Malformed _ | Client.Closed) ->
           ignore (Membership.note_failure t.membership ~now:tick member);
           if rest <> [] then Metrics.incr t.metrics.failovers;
@@ -312,7 +362,8 @@ let route_analysis t ~tick ~request ~tier fingerprint =
                 | _ -> false
               in
               if fresh then
-                replicate t ~tick ~answered_by:member ~fingerprint analysis
+                replicate t ~send ~tick ~answered_by:member ~fingerprint
+                  analysis
               else
                 (* Read-repair: a failover read answered from a
                    replica's cache means every owner we passed over is
@@ -337,12 +388,13 @@ let route_analysis t ~tick ~request ~tier fingerprint =
 (* A [put] arriving at the router is a client-driven write: fan it out
    to every owner and demand the quorum ourselves, so even a degraded
    write converges on recovery through its hints. *)
-let route_put t ~tick ~fingerprint ~kind body =
+let route_put t ~send ~tick ~fingerprint ~kind body =
   if kind = "analysis" then front_store t fingerprint body;
   let all_owners = owners t fingerprint in
   let live = List.filter (fun m -> not (is_down t m)) all_owners in
   let acks =
-    put_or_hint t ~tick ~kind ~fingerprint ~enough:max_int all_owners body
+    put_or_hint t ~send ~tick ~kind ~fingerprint ~enough:max_int all_owners
+      body
   in
   if acks >= min t.config.quorum (max 1 (List.length live)) then
     Protocol.ok_stored ~fingerprint
@@ -384,7 +436,7 @@ let router_health t =
       ("hints", Sink.Int (Hints.pending t.hints));
     ]
 
-let dispatch t ~tick line =
+let dispatch t ~send ~tick line =
   match Protocol.parse_request line with
   | Error e ->
     Metrics.incr t.metrics.errors;
@@ -394,7 +446,7 @@ let dispatch t ~tick line =
        same game live on (possibly) different owners and never alias. *)
     let route fingerprint ~mode ~concept =
       let tier = Tier.of_query ~mode ~concept in
-      ( route_analysis t ~tick ~request:line ~tier
+      ( route_analysis t ~send ~tick ~request:line ~tier
           (Tier.routing_key tier fingerprint),
         `Continue )
     in
@@ -414,7 +466,7 @@ let dispatch t ~tick line =
           ("analysis", Bi_cache.Codec.analysis_to_json analysis)
         | Bi_cache.Service.Payload body -> ("payload", body)
       in
-      (route_put t ~tick ~fingerprint ~kind body, `Continue)
+      (route_put t ~send ~tick ~fingerprint ~kind body, `Continue)
     | Protocol.Digest _ | Protocol.Pull _ ->
       (* Cluster-internal verbs: replica state lives on shards, the
          router holds only an ephemeral front cache.  fsck and the
@@ -428,7 +480,7 @@ let dispatch t ~tick line =
 (* Every handled line is counted on entry and timed on exit, whether it
    returns or raises, so after shutdown [requests] equals the
    histogram's total. *)
-let handle t ~tick line =
+let handle t ~send ~tick line =
   Metrics.incr t.metrics.requests;
   Metrics.enter t.metrics.inflight;
   let t0 = Clock.now_ns () in
@@ -436,7 +488,7 @@ let handle t ~tick line =
     Metrics.leave t.metrics.inflight;
     Metrics.observe t.metrics.latency ~ns:(Clock.now_ns () - t0)
   in
-  match dispatch t ~tick line with
+  match dispatch t ~send ~tick line with
   | answer ->
     finish ();
     answer
@@ -455,7 +507,7 @@ let warm t ~tick member =
   List.iter
     (fun (fingerprint, analysis) ->
       if List.mem member (owners t fingerprint) then
-        if put_to t ~tick member ~fingerprint analysis then
+        if put_to t ~send:(exchange t) ~tick member ~fingerprint analysis then
           Metrics.incr t.metrics.warmed)
     entries
 
@@ -467,7 +519,7 @@ let drain_hints t ~tick member =
   List.iter
     (fun (h : Hints.hint) ->
       if
-        put_to t ~tick ~kind:h.Hints.kind member
+        put_to t ~send:(exchange t) ~tick ~kind:h.Hints.kind member
           ~fingerprint:h.Hints.fingerprint h.Hints.body
       then Metrics.incr t.metrics.repairs
       else
@@ -558,7 +610,8 @@ let repair_bucket t ~tick a b bucket =
               List.iter
                 (fun target ->
                   if
-                    put_to t ~tick ~kind:entry.Bi_cache.Store.kind target
+                    put_to t ~send:(exchange t) ~tick
+                      ~kind:entry.Bi_cache.Store.kind target
                       ~fingerprint:entry.Bi_cache.Store.key
                       entry.Bi_cache.Store.body
                   then Metrics.incr t.metrics.repairs)
@@ -708,11 +761,11 @@ let dump_metrics t path =
           ("front", front_stats_json t);
         ])
 
-let handle_conn t oc line =
+let handle_conn t ~send oc line =
   (* The poller owns the tick clock; request threads read a coarse
      now-ish tick for failure bookkeeping — exactness is irrelevant,
      only monotonicity matters, and 0 under-runs every schedule. *)
-  let response, disposition = handle t ~tick:0 line in
+  let response, disposition = handle t ~send ~tick:0 line in
   let delivered =
     try
       output_string oc (Sink.to_string response);
@@ -760,7 +813,14 @@ let run ?on_ready ?metrics_out ?members_file ?hints_path
     with Invalid_argument _ | Sys_error _ -> None
   in
   let poller_th = Thread.create poller t in
-  Lineserver.run ?on_ready ~handler:(handle_conn t) ls;
+  Lineserver.run ?on_ready
+    ~handler:(fun () ->
+      let links = Hashtbl.create 4 in
+      {
+        Lineserver.line = handle_conn t ~send:(exchange_linked t links);
+        close = (fun () -> Hashtbl.iter (fun _ c -> Client.close c) links);
+      })
+    ls;
   Thread.join poller_th;
   (match previous_hup with
   | Some h -> ( try Sys.set_signal Sys.sighup h with Invalid_argument _ | Sys_error _ -> ())

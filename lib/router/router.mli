@@ -7,6 +7,13 @@
     front cache, and otherwise forwarded — original line, verbatim — to
     the key's owners on the consistent-hash {!Ring}, primary first.
 
+    Links: the thread serving one client connection keeps at most one
+    idle connection to each member and sends that member all of the
+    connection's forwards and puts over it; the links close when the
+    client connection does.  A reused link that the shard closed while
+    it sat idle is retried once on a fresh connection before it counts
+    as a failure.  The health poller connects once per exchange.
+
     Failover: transport failure and [overloaded] move the request to
     the next owner (and Down owners are kept as a last resort);
     [error] and [deadline_exceeded] are returned as-is, since they are

@@ -112,8 +112,8 @@ let unit_float ~seed ~counter =
 type t = {
   cfg : config;
   counter : int Atomic.t;
-  (* Partition window: once opened, every connection in the next
-     [partition_ms] is refused — a whole-node network event, not an
+  (* Partition window: once opened, every request line in the next
+     [partition_ms] is hung up on — a whole-node network event, not an
      independent per-request coin flip.  An {!Bi_engine.Clock} reading,
      so a wall-clock step can neither stretch nor cancel a window;
      [min_int] (below every reading) while none has opened.  Guarded by
@@ -149,14 +149,16 @@ let response_action t =
     in
     { delay_ms; transport }
 
-(* Per-connection decision, taken on accept.  [`Refuse] hangs up before
-   reading anything — to the client it is exactly a partitioned or dead
-   peer: fast connection loss, no response, so the router classifies it
-   as a transport failure and fails over.  A positive [partition_p] draw
-   opens a [partition_ms] window during which *every* connection is
-   refused.  [`Stall n] holds the accepted connection for [n] ms before
-   serving — the slow-peer fault that exercises client read timeouts. *)
-let connection_action t =
+(* Per-line decision, taken before a request line is handled, so a
+   long-lived connection meets a partition exactly as a fresh one does.
+   [`Hang_up] closes the connection without answering — to the client
+   it is exactly a partitioned or dead peer: fast connection loss, no
+   response, so the router classifies it as a transport failure and
+   fails over.  A positive [partition_p] draw opens a [partition_ms]
+   window during which *every* line is hung up on.  [`Stall n] holds
+   the line for [n] ms before handling it — the slow-peer fault that
+   exercises client read timeouts. *)
+let peer_action t =
   if not (is_enabled t.cfg) then `Proceed
   else begin
     let now = Bi_engine.Clock.now_ns () in
@@ -178,7 +180,7 @@ let connection_action t =
            inside
          end
     in
-    if partitioned then `Refuse
+    if partitioned then `Hang_up
     else if t.cfg.slow_p > 0. && draw t < t.cfg.slow_p then `Stall t.cfg.slow_ms
     else `Proceed
   end

@@ -21,13 +21,14 @@ type config = {
   truncate_p : float;  (** Probability the response line is cut short. *)
   corrupt_store_p : float;  (** Probability an appended store line is mangled. *)
   partition_p : float;
-      (** Probability an accepted connection opens a partition window:
-          for the next [partition_ms], every connection is refused
-          (hang-up before reading) — the whole-node partition fault. *)
+      (** Probability a request line opens a partition window: that
+          line and every line in the next [partition_ms], on any
+          connection new or old, are hung up on without an answer — the
+          whole-node partition fault. *)
   partition_ms : int;  (** Partition window length (default 1000). *)
   slow_p : float;
-      (** Probability an accepted connection is stalled [slow_ms]
-          before being served — the slow-peer fault. *)
+      (** Probability a request line is stalled [slow_ms] before it is
+          handled — the slow-peer fault. *)
   slow_ms : int;  (** Stall length (default 1000). *)
 }
 
@@ -77,12 +78,15 @@ val response_action : t -> action
 val faulty : action -> bool
 (** True when the action differs from {!deliver}. *)
 
-val connection_action : t -> [ `Proceed | `Refuse | `Stall of int ]
-(** Per-connection decision, taken on accept.  [`Refuse] closes the
-    connection before reading anything — to the peer, exactly a
-    partitioned node (fast transport failure, no response); a positive
-    [partition_p] draw opens a [partition_ms] window during which every
-    connection is refused.  [`Stall ms] sleeps before serving.  The
-    window state is shared across threads; decisions still come from
-    the deterministic stream (window *expiry* is wall-clock, so
-    partition timing is only as reproducible as the clock). *)
+val peer_action : t -> [ `Proceed | `Hang_up | `Stall of int ]
+(** Per-line decision, taken before each request line is handled, so
+    a connection that outlives a window's opening still meets it.
+    [`Hang_up] closes the connection without answering the line — to
+    the peer, exactly a partitioned node (fast transport failure, no
+    response); a positive [partition_p] draw opens a [partition_ms]
+    window during which every line is hung up on.  [`Stall ms] sleeps
+    before handling the line.  A client that connects per exchange gets
+    one decision per exchange.  The window state is shared across
+    threads; decisions still come from the deterministic stream (window
+    *expiry* is monotonic-clock time, so partition timing is only as
+    reproducible as the clock). *)

@@ -3,7 +3,6 @@ module Sink = Bi_engine.Sink
 type addr =
   | Unix_path of string
   | Tcp_port of int
-  | Unattached
 
 type failure =
   | Io of string
@@ -29,6 +28,7 @@ type t = {
   mutable ic : in_channel;
   mutable oc : out_channel;
   mutable state : [ `Live | `Broken | `Closed ];
+  mutable hung_up : bool;  (* the last request met a closed peer *)
   addr : addr;
   timeout_s : float option;
   ident : int;  (* default jitter seed: unique per connection *)
@@ -47,7 +47,6 @@ let derive_ident addr =
     match addr with
     | Unix_path p -> "unix:" ^ p
     | Tcp_port p -> "tcp:" ^ string_of_int p
-    | Unattached -> "unattached"
   in
   Hashtbl.hash (Unix.getpid (), Atomic.fetch_and_add ident_counter 1, tag)
 
@@ -55,7 +54,6 @@ let open_addr = function
   | Unix_path path -> Unix.open_connection (Unix.ADDR_UNIX path)
   | Tcp_port port ->
     Unix.open_connection (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-  | Unattached -> invalid_arg "Client: no address to connect to"
 
 let apply_timeout ic timeout_s =
   match timeout_s with
@@ -66,15 +64,11 @@ let apply_timeout ic timeout_s =
 let make ?timeout_s addr =
   let ic, oc = open_addr addr in
   apply_timeout ic timeout_s;
-  { ic; oc; state = `Live; addr; timeout_s; ident = derive_ident addr;
-    waits = 0 }
+  { ic; oc; state = `Live; hung_up = false; addr; timeout_s;
+    ident = derive_ident addr; waits = 0 }
 
 let connect_unix ?timeout_s path = make ?timeout_s (Unix_path path)
 let connect_tcp ?timeout_s port = make ?timeout_s (Tcp_port port)
-
-let of_channels ic oc =
-  { ic; oc; state = `Live; addr = Unattached; timeout_s = None;
-    ident = derive_ident Unattached; waits = 0 }
 
 let teardown t =
   (try Unix.shutdown_connection t.ic
@@ -103,26 +97,31 @@ let connection_ended t =
     | _ -> false)
   | exception Unix.Unix_error _ -> true
 
+(* A failed write (EPIPE), an EOF before the first byte of the line or
+   a reset on the read all mean the peer had closed the connection
+   before answering: [hung_up].  A read timeout does not. *)
 let raw_request t line =
+  t.hung_up <- false;
   match t.state with
   | `Closed | `Broken -> Error Closed
   | `Live -> (
+    let fail ~hung_up e =
+      t.hung_up <- hung_up;
+      mark_broken t;
+      Error (Io e)
+    in
     match
       output_string t.oc line;
       output_char t.oc '\n';
       flush t.oc;
       input_line t.ic
     with
-    | exception End_of_file ->
-      mark_broken t;
-      Error (Io "connection closed by server")
-    | exception Sys_error e ->
-      mark_broken t;
-      Error (Io e)
-    | exception Sys_blocked_io ->
-      mark_broken t;
-      Error (Io "read timed out")
+    | exception End_of_file -> fail ~hung_up:true "connection closed by server"
+    | exception Sys_error e -> fail ~hung_up:true e
+    | exception Sys_blocked_io -> fail ~hung_up:false "read timed out"
     | response -> Ok response)
+
+let hung_up t = t.hung_up
 
 let request_line t line =
   match raw_request t line with
@@ -139,18 +138,16 @@ let request_line t line =
 let request_once t j = request_line t (Sink.to_string j)
 
 let reconnect t =
-  match t.addr with
-  | Unattached -> Error Closed
-  | addr -> (
-    match open_addr addr with
-    | ic, oc ->
-      apply_timeout ic t.timeout_s;
-      t.ic <- ic;
-      t.oc <- oc;
-      t.state <- `Live;
-      Ok ()
-    | exception Unix.Unix_error (err, _, _) ->
-      Error (Io (Printf.sprintf "reconnect: %s" (Unix.error_message err))))
+  t.hung_up <- false;
+  match open_addr t.addr with
+  | ic, oc ->
+    apply_timeout ic t.timeout_s;
+    t.ic <- ic;
+    t.oc <- oc;
+    t.state <- `Live;
+    Ok ()
+  | exception Unix.Unix_error (err, _, _) ->
+    Error (Io (Printf.sprintf "reconnect: %s" (Unix.error_message err)))
 
 (* Capped exponential backoff with deterministic jitter: wait [i] is
    [min max (base * 2^i)] scaled into [[1/2, 1)] by the seeded stream,

@@ -18,9 +18,6 @@ type t
 type addr =
   | Unix_path of string  (** A Unix-domain socket path. *)
   | Tcp_port of int  (** A loopback TCP port. *)
-  | Unattached
-      (** No address (a client made with {!of_channels}); cannot
-          reconnect. *)
 
 type failure =
   | Io of string
@@ -31,7 +28,7 @@ type failure =
           the server is speaking a different protocol. *)
   | Closed
       (** The client was {!close}d, or is broken and was called without
-          [~retry] (or has no address to reconnect to). *)
+          [~retry]. *)
 
 val failure_to_string : failure -> string
 
@@ -79,12 +76,7 @@ val connect_tcp : ?timeout_s:float -> int -> t
 val make : ?timeout_s:float -> addr -> t
 (** Connects to an {!addr} — the general form of {!connect_unix} /
     {!connect_tcp} (the router resolves member strings to addresses).
-    @raise Invalid_argument on {!addr.Unattached}.
     @raise Unix.Unix_error when the server is not listening. *)
-
-val of_channels : in_channel -> out_channel -> t
-(** Wraps an existing connection.  Such a client has no address, so it
-    cannot reconnect: once broken it only answers {!failure.Closed}. *)
 
 val request :
   ?retry:retry -> t -> Bi_engine.Sink.json -> (Bi_engine.Sink.json, failure) result
@@ -107,6 +99,14 @@ val raw_request : t -> string -> (string, failure) result
 (** Sends a raw line (no JSON validation — the fuzz and soak harnesses
     use this to probe with garbage) and returns the raw response line.
     Never retries. *)
+
+val hung_up : t -> bool
+(** True when the last request failed because the peer had already
+    closed the connection: the write failed, or the read met EOF before
+    the first byte of the response or a reset.  A read timeout, a torn
+    line or a garbled line is not a hang-up.  The router uses this to
+    tell a reused link that its shard closed while it sat idle from a
+    shard that failed mid-answer. *)
 
 val close : t -> unit
 (** Idempotent. *)

@@ -1,5 +1,10 @@
 type listen = Unix_socket of string | Tcp of int
 
+type handler = {
+  line : out_channel -> string -> [ `Continue | `Close | `Stop ];
+  close : unit -> unit;
+}
+
 type t = {
   lock : Mutex.t;  (* guards [conns], [threads], [finished] *)
   conns : (int, Unix.file_descr) Hashtbl.t;
@@ -11,6 +16,7 @@ type t = {
   listen : listen;
   idle_timeout_s : float;
   on_idle_close : unit -> unit;
+  mutable unregister_hook : unit -> unit;  (* test seam, see the .mli *)
 }
 
 (* Refuses to clobber another server's socket: an existing path is
@@ -66,7 +72,10 @@ let create ?(idle_timeout_s = 0.) ?(on_idle_close = fun () -> ()) listen =
     listen;
     idle_timeout_s;
     on_idle_close;
+    unregister_hook = ignore;
   }
+
+let set_unregister_hook t f = t.unregister_hook <- f
 
 let stopping t = Atomic.get t.stop
 
@@ -85,52 +94,54 @@ let poke_listener t =
     (try Unix.connect fd addr with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* This runs as the SIGINT/SIGTERM handler, so it takes no lock: OCaml
+   runs a handler on whichever thread next reaches a poll point, and
+   that thread may hold [t.lock] (a connection unregistering) —
+   relocking an error-checking mutex raises there and leaves the lock
+   held for good.  The accept loop, once woken, unblocks the connection
+   threads itself ([stop_connections]). *)
 let initiate_shutdown t =
-  if Atomic.compare_and_set t.stop false true then begin
-    poke_listener t;
-    (* Unblock connection threads parked in [input_line]. *)
-    Mutex.lock t.lock;
-    Hashtbl.iter
-      (fun _ fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      t.conns;
-    Mutex.unlock t.lock
-  end
+  if Atomic.compare_and_set t.stop false true then poke_listener t
 
-let serve_conn t ~on_accept ~handler conn_id fd =
+(* Unblocks connection threads parked in [input_line]; run by the accept
+   loop once it sees the stop flag. *)
+let stop_connections t =
+  Mutex.lock t.lock;
+  Hashtbl.iter
+    (fun _ fd ->
+      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    t.conns;
+  Mutex.unlock t.lock
+
+let serve_conn t ~handler conn_id fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let finally () =
+  let unregister () =
     Mutex.lock t.lock;
     Hashtbl.remove t.conns conn_id;
     t.finished <- conn_id :: t.finished;
+    t.unregister_hook ();
     Mutex.unlock t.lock;
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
-  Fun.protect ~finally (fun () ->
-      (* The per-connection fault decision (chaos partitions/stalls):
-         [`Refuse] hangs up before reading anything — to the peer this
-         is a partitioned node, a fast transport failure. *)
-      match on_accept () with
-      | `Refuse -> ()
-      | (`Proceed | `Stall _) as a ->
-        (match a with
-        | `Stall ms when ms > 0 -> Thread.delay (float_of_int ms /. 1000.)
-        | _ -> ());
-        let rec loop () =
-          match input_line ic with
-          | exception End_of_file -> ()
-          | exception Sys_error _ -> ()
-          (* SO_RCVTIMEO expiring surfaces as [Sys_blocked_io]. *)
-          | exception Sys_blocked_io -> t.on_idle_close ()
-          | line when String.trim line = "" -> loop ()
-          | line -> (
-            match handler oc line with
-            | `Close -> ()
-            | `Stop -> initiate_shutdown t
-            | `Continue -> if not (Atomic.get t.stop) then loop ())
-        in
-        loop ())
+  Fun.protect ~finally:unregister (fun () ->
+      let h = handler () in
+      let rec loop () =
+        match input_line ic with
+        | exception End_of_file -> ()
+        | exception Sys_error _ -> ()
+        (* SO_RCVTIMEO expiring surfaces as [Sys_blocked_io]. *)
+        | exception Sys_blocked_io -> t.on_idle_close ()
+        | line when String.trim line = "" -> loop ()
+        | line -> (
+          match h.line oc line with
+          | `Close -> ()
+          | `Stop -> initiate_shutdown t
+          | `Continue -> if not (Atomic.get t.stop) then loop ())
+      in
+      (* The handler's own resources go before [unregister], outside
+         [t.lock]. *)
+      Fun.protect ~finally:h.close loop)
 
 (* Join connection threads that have announced their exit; called from
    the accept loop so the thread table stays bounded by the number of
@@ -152,7 +163,7 @@ let reap t =
   Mutex.unlock t.lock;
   List.iter Thread.join ths
 
-let run ?(on_ready = fun () -> ()) ?(on_accept = fun () -> `Proceed) ~handler t =
+let run ?(on_ready = fun () -> ()) ~handler t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stop_on_signal = Sys.Signal_handle (fun _ -> initiate_shutdown t) in
   let previous_int = Sys.signal Sys.sigint stop_on_signal in
@@ -179,7 +190,7 @@ let run ?(on_ready = fun () -> ()) ?(on_accept = fun () -> `Proceed) ~handler t 
           Hashtbl.replace t.conns conn_id fd;
           let th =
             Thread.create
-              (fun () -> serve_conn t ~on_accept ~handler conn_id fd)
+              (fun () -> serve_conn t ~handler conn_id fd)
               ()
           in
           Hashtbl.replace t.threads conn_id th;
@@ -188,6 +199,7 @@ let run ?(on_ready = fun () -> ()) ?(on_accept = fun () -> `Proceed) ~handler t 
         end
   in
   accept_loop ();
+  stop_connections t;
   let remaining =
     Mutex.lock t.lock;
     let ths = Hashtbl.fold (fun _ th acc -> th :: acc) t.threads [] in

@@ -330,10 +330,10 @@ let handle_line t ~chaos_delay_ms line =
   Metrics.observe t.metrics.latency ~ns:(Clock.now_ns () - t0);
   (response, disposition)
 
-(* One protocol exchange, including the chaos transport decision: a
+(* One answered exchange, including the chaos transport decision: a
    dropped or truncated response leaves the client with wreckage, so
    the connection is closed rather than left desynchronized. *)
-let handle_conn_line t oc line =
+let answer_line t oc line =
   let action =
     match t.chaos with
     | None -> Chaos.deliver
@@ -366,6 +366,21 @@ let handle_conn_line t oc line =
   match disposition with
   | `Stop -> `Stop
   | `Continue -> if alive then `Continue else `Close
+
+(* The per-line peer decision comes first: inside a partition window
+   the line is hung up on without being handled, and a stall delays it,
+   on a long-lived connection exactly as on a fresh one. *)
+let handle_conn_line t oc line =
+  let peer =
+    match t.chaos with None -> `Proceed | Some c -> Chaos.peer_action c
+  in
+  if peer <> `Proceed then Metrics.incr t.metrics.faults_injected;
+  match peer with
+  | `Hang_up -> `Close
+  | `Stall ms ->
+    chaos_sleep ms;
+    answer_line t oc line
+  | `Proceed -> answer_line t oc line
 
 (* --- lifecycle ------------------------------------------------------- *)
 
@@ -405,15 +420,8 @@ let run ?pool ?metrics_out ?on_ready ?(limits = default_limits) ?chaos ~cache
       queued = 0;
     }
   in
-  let on_accept () =
-    match chaos with
-    | None -> `Proceed
-    | Some c -> (
-      match Chaos.connection_action c with
-      | `Proceed -> `Proceed
-      | (`Refuse | `Stall _) as fault ->
-        Metrics.incr t.metrics.faults_injected;
-        fault)
-  in
-  Lineserver.run ?on_ready ~on_accept ~handler:(handle_conn_line t) ls;
+  Lineserver.run ?on_ready
+    ~handler:(fun () ->
+      { Lineserver.line = handle_conn_line t; close = ignore })
+    ls;
   Option.iter (dump_metrics t) metrics_out

@@ -20,10 +20,10 @@
     gets [deadline_exceeded], never a partial answer.  With
     [limits.idle_timeout_s] set, connections idle past it are closed.
 
-    A {!Chaos} configuration injects deterministic faults (delays
-    inside the admission slot, dropped or truncated responses,
-    corrupted store lines) for soak testing; every fault is counted in
-    the metrics.
+    A {!Chaos} configuration injects deterministic faults (partition
+    hang-ups and stalls decided per request line, delays inside the
+    admission slot, dropped or truncated responses, corrupted store
+    lines) for soak testing; every fault is counted in the metrics.
 
     [run] blocks until a [shutdown] request, SIGINT or SIGTERM, then
     stops accepting, wakes idle connections, joins all connection

@@ -357,12 +357,12 @@ let with_ready_thread f =
   Mutex.unlock ready;
   th
 
-let start_shard ~dir ~name =
+let start_shard ?limits ~dir ~name () =
   let socket = Filename.concat dir (name ^ ".sock") in
   let cache = Service.create ~shard:name () in
   let th =
     with_ready_thread (fun ~on_ready ->
-        Server.run ~on_ready ~cache (Server.Unix_socket socket))
+        Server.run ~on_ready ?limits ~cache (Server.Unix_socket socket))
   in
   (socket, cache, th)
 
@@ -380,8 +380,8 @@ let test_router_end_to_end () =
   let dir = Filename.temp_file "bi_router" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
-  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
   let members = [ sock_a; sock_b ] in
   let router_sock = Filename.concat dir "router.sock" in
   (* front_capacity = 1 so the second construction evicts the first from
@@ -494,7 +494,7 @@ let test_router_correlated () =
   let dir = Filename.temp_file "bi_router_corr" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
   let members = [ sock_a ] in
   let router_sock = Filename.concat dir "router.sock" in
   let config =
@@ -568,8 +568,8 @@ let test_router_auto_tier () =
   let dir = Filename.temp_file "bi_router_auto" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
-  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
   let members = [ sock_a; sock_b ] in
   let router_sock = Filename.concat dir "router.sock" in
   let config =
@@ -677,8 +677,8 @@ let test_read_repair_parks_hints () =
   let dir = Filename.temp_file "bi_rr" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
-  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
   let members = [ sock_a; sock_b ] in
   let router_sock = Filename.concat dir "router.sock" in
   let config =
@@ -759,8 +759,8 @@ let test_recovery_drains_hints () =
   let dir = Filename.temp_file "bi_drain" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
-  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
   let members = [ sock_a; sock_b ] in
   let router_sock = Filename.concat dir "router.sock" in
   let config =
@@ -824,7 +824,7 @@ let test_recovery_drains_hints () =
         >= 1);
       (* Restart the primary, empty: no store, no cache. *)
       let name = Filename.chop_suffix (Filename.basename primary) ".sock" in
-      let _, cache', th' = start_shard ~dir ~name in
+      let _, cache', th' = start_shard ~dir ~name () in
       prim_cache := Some cache';
       prim_thread := Some th';
       (* Recovery must deliver the parked write.  Poll with [pull] —
@@ -876,8 +876,8 @@ let test_sighup_reload_race () =
   let dir = Filename.temp_file "bi_hup" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" in
-  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
   let members_file = Filename.concat dir "members" in
   let write_members members =
     let tmp = members_file ^ ".tmp" in
@@ -985,7 +985,10 @@ let test_router_forwards_verbatim () =
     disposition
   in
   let th_member =
-    with_ready_thread (fun ~on_ready -> Bi_serve.Lineserver.run ~on_ready ~handler ls)
+    with_ready_thread (fun ~on_ready ->
+        Bi_serve.Lineserver.run ~on_ready
+          ~handler:(fun () -> { Bi_serve.Lineserver.line = handler; close = ignore })
+          ls)
   in
   let router_sock = Filename.concat dir "router.sock" in
   let th_router =
@@ -1028,12 +1031,269 @@ let test_router_forwards_verbatim () =
             true (List.mem line seen))
         lines)
 
+(* --- persistent links ---------------------------------------------------- *)
+
+(* A stand-in shard: a plain Unix listener, one thread per connection,
+   that answers every line with [{"ok":true}] and logs, per accepted
+   connection, the lines it read and whether it then read EOF. *)
+type fake_conn = { mutable lines : string list; mutable eof : bool }
+
+type fake = {
+  path : string;
+  fd : Unix.file_descr;
+  lock : Mutex.t;
+  mutable conns : fake_conn list;  (* newest first *)
+  stop : bool Atomic.t;
+  mutable accept_th : Thread.t option;
+}
+
+let start_fake path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 16;
+  let f =
+    { path; fd; lock = Mutex.create (); conns = []; stop = Atomic.make false;
+      accept_th = None }
+  in
+  let logged g =
+    Mutex.lock f.lock;
+    g ();
+    Mutex.unlock f.lock
+  in
+  let serve (conn, cfd) =
+    let ic = Unix.in_channel_of_descr cfd in
+    let oc = Unix.out_channel_of_descr cfd in
+    let rec loop () =
+      match input_line ic with
+      | exception (End_of_file | Sys_error _) ->
+        logged (fun () -> conn.eof <- true)
+      | line ->
+        logged (fun () -> conn.lines <- line :: conn.lines);
+        output_string oc "{\"ok\":true}\n";
+        flush oc;
+        loop ()
+    in
+    (try loop () with Sys_error _ -> ());
+    Unix.close cfd
+  in
+  let rec accept () =
+    match Unix.accept fd with
+    | exception Unix.Unix_error _ -> ()
+    | cfd, _ when Atomic.get f.stop -> Unix.close cfd
+    | cfd, _ ->
+      let conn = { lines = []; eof = false } in
+      logged (fun () -> f.conns <- conn :: f.conns);
+      ignore (Thread.create serve (conn, cfd));
+      accept ()
+  in
+  f.accept_th <- Some (Thread.create accept ());
+  f
+
+let stop_fake f =
+  Atomic.set f.stop true;
+  (try
+     let poke = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     Fun.protect
+       ~finally:(fun () -> Unix.close poke)
+       (fun () -> Unix.connect poke (Unix.ADDR_UNIX f.path))
+   with Unix.Unix_error _ -> ());
+  Option.iter Thread.join f.accept_th;
+  Unix.close f.fd;
+  Sys.remove f.path
+
+let is_health line =
+  match Protocol.parse_request line with
+  | Ok { Protocol.query = Protocol.Health; _ } -> true
+  | _ -> false
+
+(* The fake's connections that carried a forwarded request (the rest
+   are the poller's one-shot probes), oldest first. *)
+let fake_links f =
+  Mutex.lock f.lock;
+  let links =
+    List.filter (fun c -> List.exists (fun l -> not (is_health l)) c.lines) f.conns
+  in
+  let accepted = List.length f.conns in
+  Mutex.unlock f.lock;
+  (List.rev links, accepted)
+
+(* A router whose poller probes only at startup, so the request path is
+   the only thing talking to members once they are up. *)
+let start_quiet_router ~dir ~members =
+  let router_sock = Filename.concat dir "router.sock" in
+  let config =
+    { Router.default_config with probe_interval_s = 30.; shard_timeout_s = 5. }
+  in
+  let th =
+    with_ready_thread (fun ~on_ready ->
+        Router.run ~on_ready ~config ~members
+          (Bi_serve.Lineserver.Unix_socket router_sock))
+  in
+  let c = Client.connect_unix router_sock in
+  wait_until ~what:"every member up" (fun () ->
+      let stats = request_ok c Protocol.stats_request in
+      List.for_all (fun m -> member_state stats m = Some "up") members);
+  (router_sock, th, c)
+
+let fresh_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  dir
+
+(* One client connection's forwards share one link to the member: ten
+   forwards, one accept.  A second client connection opens its own. *)
+let test_links_reused () =
+  let dir = fresh_dir "bi_links" in
+  let fake = start_fake (Filename.concat dir "fake.sock") in
+  let router_sock, th_router, c = start_quiet_router ~dir ~members:[ fake.path ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_fake fake)
+    (fun () ->
+      let req = Protocol.construction_request ~name:"gworst-bliss" ~k:2 () in
+      for _ = 1 to 10 do
+        ignore (request_ok c req)
+      done;
+      let links, accepted = fake_links fake in
+      Alcotest.(check (list int)) "ten forwards over one link" [ 10 ]
+        (List.map (fun l -> List.length l.lines) links);
+      let stats = request_ok c Protocol.stats_request in
+      Alcotest.(check int) "forwards" 10 (counter stats "forwards");
+      Alcotest.(check int) "connects = the member's accepts" accepted
+        (counter stats "connects");
+      let c2 = Client.connect_unix router_sock in
+      ignore (request_ok c2 req);
+      Client.close c2;
+      let links, _ = fake_links fake in
+      Alcotest.(check (list int)) "a second client connection, a second link"
+        [ 10; 1 ]
+        (List.map (fun l -> List.length l.lines) links))
+
+(* A shard that closes the router's idle link (its idle timeout here)
+   costs the next forward one fresh connection, not a failover: the
+   same owner answers, from its cache. *)
+let test_stale_link_retried () =
+  let dir = fresh_dir "bi_stale" in
+  let limits = { Server.default_limits with idle_timeout_s = 0.2 } in
+  let sock_a, cache_a, th_a = start_shard ~limits ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~limits ~dir ~name:"shard-b" () in
+  let router_sock, th_router, c =
+    start_quiet_router ~dir ~members:[ sock_a; sock_b ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      let req =
+        Protocol.construction_request ~mode:Bi_certify.Mode.Certified
+          ~name:"gworst-bliss" ~k:3 ()
+      in
+      Alcotest.(check (option bool)) "first forward computes" (Some false)
+        (get_bool "cached" (request_ok c req));
+      let before = counter (request_ok c Protocol.stats_request) "connects" in
+      Thread.delay 0.5;
+      (* Certified answers are not replicated: only the owner that
+         computed this one can answer it cached. *)
+      Alcotest.(check (option bool)) "the same owner answers" (Some true)
+        (get_bool "cached" (request_ok c req));
+      let stats = request_ok c Protocol.stats_request in
+      Alcotest.(check int) "no failover" 0 (counter stats "failovers");
+      Alcotest.(check int) "nothing unrouted" 0 (counter stats "unrouted");
+      Alcotest.(check int) "one fresh connection" (before + 1)
+        (counter stats "connects"))
+
+(* An owner that dies with its link pooled: the reused link and the
+   fresh retry both fail, so the forward fails over to the replica and
+   the dead owner is noted failed once, as with a connection per
+   exchange. *)
+let test_dead_owner_fails_over () =
+  let dir = fresh_dir "bi_dead" in
+  let sock_a, cache_a, th_a = start_shard ~dir ~name:"shard-a" () in
+  let sock_b, cache_b, th_b = start_shard ~dir ~name:"shard-b" () in
+  let members = [ sock_a; sock_b ] in
+  let router_sock, th_router, c = start_quiet_router ~dir ~members in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      stop_endpoint sock_a;
+      stop_endpoint sock_b;
+      Thread.join th_a;
+      Thread.join th_b;
+      Service.close cache_a;
+      Service.close cache_b)
+    (fun () ->
+      let req =
+        Protocol.construction_request ~mode:Bi_certify.Mode.Certified
+          ~name:"gworst-bliss" ~k:3 ()
+      in
+      let r = request_ok c req in
+      let key =
+        match Sink.member "fingerprint" r with
+        | Some (Sink.Str s) -> s
+        | _ -> Alcotest.fail "fingerprint missing"
+      in
+      let owner = Option.get (Ring.owner (Ring.create members) key) in
+      stop_endpoint owner;
+      Thread.join (if owner = sock_a then th_a else th_b);
+      Alcotest.(check (option bool)) "the replica computes it" (Some false)
+        (get_bool "cached" (request_ok c req));
+      let stats = request_ok c Protocol.stats_request in
+      Alcotest.(check int) "one failover" 1 (counter stats "failovers");
+      Alcotest.(check int) "nothing unrouted" 0 (counter stats "unrouted");
+      Alcotest.(check (option string)) "one failure noted" (Some "suspect")
+        (member_state stats owner))
+
+(* Router shutdown closes every worker's links, including those of a
+   client connection still open: the member reads EOF on each, and
+   [Router.run] returns within one 0.5 s poller slice (1 s allowed). *)
+let test_shutdown_closes_links () =
+  let dir = fresh_dir "bi_close" in
+  let fake = start_fake (Filename.concat dir "fake.sock") in
+  let _, th_router, c = start_quiet_router ~dir ~members:[ fake.path ] in
+  let router_sock = Filename.concat dir "router.sock" in
+  let c2 = Client.connect_unix router_sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Client.close c2;
+      stop_fake fake)
+    (fun () ->
+      let req = Protocol.construction_request ~name:"gworst-bliss" ~k:2 () in
+      ignore (request_ok c req);
+      ignore (request_ok c2 req);
+      Alcotest.(check int) "two links" 2 (List.length (fst (fake_links fake)));
+      ignore (request_ok c Protocol.shutdown_request);
+      let asked = Bi_engine.Clock.now_ns () in
+      Thread.join th_router;
+      let waited = Bi_engine.Clock.since asked in
+      if waited > 1. then
+        Alcotest.failf "router returned %.2f s after shutdown" waited;
+      wait_until ~deadline:5. ~what:"EOF on every link" (fun () ->
+          Mutex.lock fake.lock;
+          let all = List.for_all (fun conn -> conn.eof) fake.conns in
+          Mutex.unlock fake.lock;
+          all))
+
 (* The member names and order of the [server] and [router] objects, in
    [stats] and in both metrics dumps, are read by the benchmark, CI and
    [bi chaos --cluster]: they are pinned here.  The router's latency
-   histogram is its last member.  After shutdown every handled line has
-   been counted on entry and timed on exit, so each dump's histogram
-   totals its [requests]. *)
+   histogram and then its shard-connection count come last.  After
+   shutdown every handled line has been counted on entry and timed on
+   exit, so each dump's histogram totals its [requests]. *)
 let server_members =
   [
     "requests"; "errors"; "hits"; "misses"; "coalesced"; "overloaded";
@@ -1047,7 +1307,7 @@ let router_members =
     "replications"; "replication_failures"; "quorum_failures"; "probes";
     "probe_failures"; "marked_up"; "marked_down"; "warmed"; "hints_recorded";
     "hints_dropped"; "read_repairs"; "repair_rounds"; "divergent_keys";
-    "repairs"; "inflight"; "max_inflight"; "latency_log2_us";
+    "repairs"; "inflight"; "max_inflight"; "latency_log2_us"; "connects";
   ]
 
 let test_metrics_member_golden () =
@@ -1196,5 +1456,16 @@ let () =
             test_router_auto_tier;
           Alcotest.test_case "metrics members keep their order" `Quick
             test_metrics_member_golden;
+        ] );
+      ( "links",
+        [
+          Alcotest.test_case "one link per member per client connection"
+            `Quick test_links_reused;
+          Alcotest.test_case "a link the shard closed is retried fresh" `Quick
+            test_stale_link_retried;
+          Alcotest.test_case "a dead owner's link fails over" `Quick
+            test_dead_owner_fails_over;
+          Alcotest.test_case "shutdown closes every link" `Quick
+            test_shutdown_closes_links;
         ] );
     ]

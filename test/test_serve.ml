@@ -1112,24 +1112,24 @@ let test_digest_pull_end_to_end () =
 
 (* --- partition and slow-peer chaos ------------------------------------ *)
 
-let test_connection_action () =
-  (* One positive draw opens a window during which every connection is
-     refused — a whole-node partition, not per-request noise. *)
+let test_peer_action () =
+  (* One positive draw opens a window during which every line is hung
+     up on — a whole-node partition, not per-request noise. *)
   let t =
     Chaos.create
       { Chaos.disabled with seed = 1; partition_p = 1.0; partition_ms = 10_000 }
   in
-  Alcotest.(check bool) "first connection refused" true
-    (Chaos.connection_action t = `Refuse);
-  Alcotest.(check bool) "window refuses the next connection too" true
-    (Chaos.connection_action t = `Refuse);
+  Alcotest.(check bool) "first line hung up on" true
+    (Chaos.peer_action t = `Hang_up);
+  Alcotest.(check bool) "window hangs up on the next line too" true
+    (Chaos.peer_action t = `Hang_up);
   let t = Chaos.create { Chaos.disabled with seed = 1; slow_p = 1.0; slow_ms = 7 } in
-  (match Chaos.connection_action t with
+  (match Chaos.peer_action t with
   | `Stall 7 -> ()
   | _ -> Alcotest.fail "expected a 7 ms stall");
   let t = Chaos.create Chaos.disabled in
   Alcotest.(check bool) "disabled proceeds" true
-    (Chaos.connection_action t = `Proceed);
+    (Chaos.peer_action t = `Proceed);
   (* The spec grammar covers the new fields. *)
   (match Chaos.parse "partition_p=0.5,partition_ms=250,slow_p=0.1,slow_ms=40" with
   | Ok cfg ->
@@ -1146,44 +1146,137 @@ let test_connection_action () =
       | Ok _ -> Alcotest.failf "accepted %s" bad)
     [ "partition_p=2"; "partition_ms=-1"; "slow_p=x"; "slow_ms=0.5" ]
 
-let test_lineserver_refuse_and_stall () =
-  let dir = Filename.temp_file "bi_refuse" "" in
+(* A server inside a partition window answers no line, not even
+   [shutdown]: stop it the way an operator would, with SIGTERM (the
+   handler [Server.run] installs), however the test body ends, and
+   poll until its socket goes. *)
+let with_partitioned_server chaos f =
+  let stop socket =
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    let deadline = Unix.gettimeofday () +. 5. in
+    while Sys.file_exists socket && Unix.gettimeofday () < deadline do
+      Thread.delay 0.01
+    done
+  in
+  with_server ~chaos (fun ~socket ~metrics_out:_ ->
+      Fun.protect ~finally:(fun () -> stop socket) (fun () -> f ~socket))
+
+let test_refuse_and_stall () =
+  (* Partitioned: the line is hung up on before any byte is served —
+     to the client a partitioned node, a fast transport failure. *)
+  let partitioned =
+    Chaos.create
+      { Chaos.disabled with seed = 1; partition_p = 1.0; partition_ms = 10_000 }
+  in
+  with_partitioned_server partitioned (fun ~socket ->
+      let c = Client.connect_unix socket in
+      (match Client.request c Protocol.stats_request with
+      | Error (Client.Io _) -> ()
+      | Ok _ -> Alcotest.fail "refused connection still answered"
+      | Error f ->
+        Alcotest.failf "unexpected failure: %s" (Client.failure_to_string f));
+      Client.close c);
+  (* Stalled: served late but served. *)
+  let slow =
+    Chaos.create { Chaos.disabled with seed = 1; slow_p = 1.0; slow_ms = 50 }
+  in
+  with_server ~chaos:slow (fun ~socket ~metrics_out:_ ->
+      let c = Client.connect_unix socket in
+      let t0 = Unix.gettimeofday () in
+      (match Client.request c Protocol.stats_request with
+      | Ok resp -> Alcotest.(check bool) "served" true (Protocol.is_ok resp)
+      | Error f -> Alcotest.fail (Client.failure_to_string f));
+      Alcotest.(check bool) "stall delayed the response" true
+        (Unix.gettimeofday () -. t0 >= 0.045);
+      Client.close c)
+
+(* The partition decision is taken per line, so a window reaches
+   connections that were open before it: one accepted and answered
+   before the window opens is hung up on at its next line, exactly as a
+   new connection would be. *)
+let test_partition_reaches_open_connections () =
+  (* A seed whose first draw stays outside a window, so the first line
+     is answered; later draws open one with probability [p]. *)
+  let p = 0.5 in
+  let rec seed s =
+    if Chaos.unit_float ~seed:s ~counter:0 >= p then s else seed (s + 1)
+  in
+  let chaos =
+    Chaos.create
+      { Chaos.disabled with seed = seed 0; partition_p = p; partition_ms = 10_000 }
+  in
+  with_partitioned_server chaos (fun ~socket ->
+      let established = Client.connect_unix socket in
+      ignore (request_ok established Protocol.health_request);
+      (* One line per new connection until one opens a window. *)
+      let rec open_window tries =
+        if tries = 0 then Alcotest.fail "no partition window opened"
+        else begin
+          let c = Client.connect_unix socket in
+          let r = Client.request c Protocol.health_request in
+          Client.close c;
+          match r with Error (Client.Io _) -> () | _ -> open_window (tries - 1)
+        end
+      in
+      open_window 64;
+      (match Client.request established Protocol.health_request with
+      | Error (Client.Io _) ->
+        Alcotest.(check bool) "hung up before answering" true
+          (Client.hung_up established)
+      | Ok _ -> Alcotest.fail "an open connection was answered inside the window"
+      | Error f ->
+        Alcotest.failf "unexpected failure: %s" (Client.failure_to_string f));
+      Client.close established)
+
+(* SIGINT/SIGTERM run [Lineserver.initiate_shutdown] on whichever
+   thread next reaches a poll point — possibly a connection thread
+   holding the server's lock while it unregisters.  The seam runs the
+   handler exactly there: the server must still stop. *)
+let test_signal_while_unregistering () =
+  let dir = Filename.temp_file "bi_signal" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
   let socket = Filename.concat dir "bi.sock" in
-  let refuse = ref true in
   let ls = Lineserver.create (Lineserver.Unix_socket socket) in
+  Lineserver.set_unregister_hook ls (fun () -> Lineserver.initiate_shutdown ls);
+  let ready = Mutex.create () and readied = Condition.create () in
+  let is_ready = ref false and stopped = Atomic.make false in
   let th =
     Thread.create
       (fun () ->
         Lineserver.run
-          ~on_accept:(fun () -> if !refuse then `Refuse else `Stall 50)
-          ~handler:(fun oc _line ->
-            output_string oc "{\"ok\":true}\n";
-            flush oc;
-            `Continue)
-          ls)
+          ~on_ready:(fun () ->
+            Mutex.lock ready;
+            is_ready := true;
+            Condition.signal readied;
+            Mutex.unlock ready)
+          ~handler:(fun () ->
+            {
+              Lineserver.line =
+                (fun oc _ ->
+                  output_string oc "{\"ok\":true}\n";
+                  flush oc;
+                  `Continue);
+              close = ignore;
+            })
+          ls;
+        Atomic.set stopped true)
       ()
   in
-  (* Refused: the connection dies before any byte is served — to the
-     client a partitioned node, a fast transport failure. *)
+  Mutex.lock ready;
+  while not !is_ready do
+    Condition.wait readied ready
+  done;
+  Mutex.unlock ready;
   let c = Client.connect_unix socket in
-  (match Client.request c Protocol.stats_request with
-  | Error (Client.Io _) -> ()
-  | Ok _ -> Alcotest.fail "refused connection still answered"
-  | Error f -> Alcotest.failf "unexpected failure: %s" (Client.failure_to_string f));
+  ignore (request_ok c Protocol.stats_request);
+  (* The hang-up ends the connection; its thread unregisters it. *)
   Client.close c;
-  (* Stalled: served late but served. *)
-  refuse := false;
-  let c = Client.connect_unix socket in
-  let t0 = Unix.gettimeofday () in
-  (match Client.request c Protocol.stats_request with
-  | Ok resp -> Alcotest.(check bool) "served" true (Protocol.is_ok resp)
-  | Error f -> Alcotest.fail (Client.failure_to_string f));
-  Alcotest.(check bool) "stall delayed the response" true
-    (Unix.gettimeofday () -. t0 >= 0.045);
-  Client.close c;
-  Lineserver.initiate_shutdown ls;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) "server stopped" true (Atomic.get stopped);
   Thread.join th
 
 let () =
@@ -1203,7 +1296,7 @@ let () =
           Alcotest.test_case "digest and pull parsing" `Quick
             test_parse_digest_pull;
           Alcotest.test_case "partition and slow-peer actions" `Quick
-            test_connection_action;
+            test_peer_action;
           QCheck_alcotest.to_alcotest backoff_within_bounds;
           QCheck_alcotest.to_alcotest backoff_hint_floor;
           QCheck_alcotest.to_alcotest backoff_seed_distinct;
@@ -1234,6 +1327,10 @@ let () =
           Alcotest.test_case "digest and pull verbs end to end" `Quick
             test_digest_pull_end_to_end;
           Alcotest.test_case "refused and stalled connections" `Quick
-            test_lineserver_refuse_and_stall;
+            test_refuse_and_stall;
+          Alcotest.test_case "partition hangs up on open connections" `Quick
+            test_partition_reaches_open_connections;
+          Alcotest.test_case "shutdown signal while a connection holds the lock"
+            `Quick test_signal_while_unregistering;
         ] );
     ]
