@@ -40,7 +40,9 @@ let ratio_json = function
    verdict appended. *)
 let construction_json ~name ~k response value =
   let answer =
-    match response with Sink.Obj (_ok :: members) -> members | _ -> []
+    match Sink.of_string response with
+    | Ok (Sink.Obj (_ok :: members)) -> members
+    | _ -> []
   in
   let extras =
     match value with
@@ -186,7 +188,8 @@ let construction name k jobs json cache_path mode concept =
             | None -> (solve (), false)
             | Some c -> (
               match Cache.Service.find c key with
-              | Some value when Serve.Tier.matches tier value -> (value, true)
+              | Some value when Cache.Service.kind_of value = Serve.Tier.kind tier
+                -> (value, true)
               | Some _ | None ->
                 let value = solve () in
                 Cache.Service.insert c key value;
@@ -196,7 +199,8 @@ let construction name k jobs json cache_path mode concept =
         print_endline
           (Sink.to_string
              (construction_json ~name ~k
-                (Serve.Tier.response tier ~fingerprint:key ~cached value)
+                (Serve.Tier.response tier ~fingerprint:key ~cached
+                   (Cache.Service.body_of value))
                 value))
       else begin
         print_answer ~name ~k tier value;
@@ -471,7 +475,7 @@ let router socket tcp members members_file replicas quorum front_capacity
    links): fsck must see a partitioned shard as unreachable, not camp
    on it. *)
 let fsck_exchange_source ~timeout_s member =
-  Router.Fsck.exchange_source ~name:member (fun request ->
+  Router.Fsck.exchange_source ~name:member (fun line ->
       match Router.Router.addr_of_member member with
       | Error e -> Error e
       | Ok addr -> (
@@ -482,7 +486,7 @@ let fsck_exchange_source ~timeout_s member =
           Fun.protect
             ~finally:(fun () -> Serve.Client.close client)
             (fun () ->
-              match Serve.Client.request client request with
+              match Serve.Client.request_line client line with
               | Ok resp -> Ok resp
               | Error f -> Error (Serve.Client.failure_to_string f))))
 
@@ -1022,6 +1026,29 @@ let cluster_soak ~shards ~clients ~seconds ~retries ~seed ~router_metrics_out
           false
       in
       check "fingerprint_offline_match" (fp = warm_fp);
+      (* The router's warm answer (a front hit, spliced from the body
+         bytes it kept) is the owning shard's own answer, byte for
+         byte. *)
+      check "router_relays_shard_bytes"
+        (let line =
+           Sink.to_string
+             (Serve.Protocol.construction_request ~name:warm_name ~k:warm_k ())
+         in
+         let rec raw connect tries =
+           match connect () with
+           | exception Unix.Unix_error _ when tries > 1 -> raw connect (tries - 1)
+           | exception Unix.Unix_error _ -> None
+           | c -> (
+             let r = Serve.Client.raw_request c line in
+             Serve.Client.close c;
+             match r with
+             | Ok answer -> Some answer
+             | Error _ when tries > 1 -> raw connect (tries - 1)
+             | Error _ -> None)
+         in
+         match (raw connect_router 5, raw (connect_shard victim_member) 5) with
+         | Some routed, Some owned -> String.equal routed owned
+         | _ -> false);
       let t0 = Engine.Clock.now_ns () in
       let at frac = t0 + int_of_float (frac *. float_of_int seconds *. 1e9) in
       let stop_at = at 1. in

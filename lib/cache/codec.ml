@@ -179,80 +179,184 @@ let game_to_json graph ~prior =
       ("prior", Sink.List prior_entries);
     ]
 
-let game_of_json j =
-  let* kind =
-    match field "kind" j with
-    | Ok (Sink.Str "directed") -> Ok Graph.Directed
-    | Ok (Sink.Str "undirected") -> Ok Graph.Undirected
-    | Ok v -> error "kind must be \"directed\" or \"undirected\", got %s" (Sink.to_string v)
+(* An inline game is read straight off the request line into the
+   arrays [Graph.of_arrays] keeps, with no tree in between.  Each field
+   keeps its first occurrence, as [Sink.member] would, and the fields
+   are checked in the order kind, n, edges, prior whatever order the
+   line gives them in.  A value of the wrong shape is read again as a
+   tree, only for its error message.  Syntax errors raise
+   [Sink.Lex.Error] with the message and offset of [Sink.of_string]. *)
+module Lex = Sink.Lex
+
+type game_fields = {
+  mutable kind : (Graph.kind, string) result option;
+  mutable n : (int, string) result option;
+  mutable edges : (int array * int array * Rat.t array, string) result option;
+  mutable prior : (((int * int) array * Rat.t) list, string) result option;
+}
+
+(* The message for a value of the wrong shape at [start]: the value is
+   read again as a tree and rendered into [fmt]. *)
+let reread c ~depth start fmt =
+  Lex.seek c start;
+  Printf.sprintf fmt (Sink.to_string (Lex.value c ~depth))
+
+let read_rat c ~depth =
+  let start = Lex.pos c in
+  match Lex.string c ~depth with
+  | s -> rat_of_string s
+  | exception Lex.Mismatch ->
+    Error (reread c ~depth start "expected a rational string, got %s")
+
+(* The list at the cursor, its items read by [item] until one fails;
+   the items after it are only checked for syntax.  [not_a_list] words
+   the error for a value of another type. *)
+let read_list c ~depth ~not_a_list item =
+  let start = Lex.pos c in
+  if Lex.peek c ~depth <> '[' then Error (reread c ~depth start not_a_list)
+  else begin
+    let failed = ref None in
+    if Lex.first_item c then begin
+      let more = ref true in
+      while !more do
+        (match !failed with
+        | Some _ -> Lex.skip c ~depth:(depth + 1)
+        | None -> (
+          match item () with Ok () -> () | Error _ as e -> failed := Some e));
+        more := Lex.next_item c
+      done
+    end;
+    Option.value !failed ~default:(Ok ())
+  end
+
+(* [read ()] on a value of a fixed shape; [Lex.Mismatch] from it means
+   another shape, worded by [fmt]. *)
+let shaped c ~depth fmt read =
+  let at = Lex.pos c in
+  match read () with
+  | result -> result
+  | exception Lex.Mismatch -> Error (reread c ~depth at fmt)
+
+(* Steps through a fixed-length list: [Lex.Mismatch] when the value is
+   not a list, or has fewer or more items than the reader takes. *)
+let enter c ~depth =
+  if Lex.peek c ~depth <> '[' || not (Lex.first_item c) then
+    raise_notrace Lex.Mismatch
+
+let next c = if not (Lex.next_item c) then raise_notrace Lex.Mismatch
+let close c = if Lex.next_item c then raise_notrace Lex.Mismatch
+
+(* The edges are gathered in lists, which stay in the minor heap, and
+   copied once into arrays of their exact length: growing arrays would
+   leave large blocks on the major heap for every inline game read.
+   The cost array starts filled with an old value, so filling it
+   forces no minor collection.  An edge's cost error counts only once
+   the edge has its [[src, dst, cost]] shape. *)
+let read_edges c ~depth =
+  let src = ref [] and dst = ref [] and costs = ref [] and m = ref 0 in
+  let edge () =
+    enter c ~depth:(depth + 1);
+    let s = Lex.int c ~depth:(depth + 2) in
+    next c;
+    let d = Lex.int c ~depth:(depth + 2) in
+    next c;
+    let cost = read_rat c ~depth:(depth + 2) in
+    close c;
+    match cost with
+    | Ok cost ->
+      src := s :: !src;
+      dst := d :: !dst;
+      costs := cost :: !costs;
+      incr m;
+      Ok ()
     | Error e -> Error e
   in
-  let* n =
-    match field "n" j with
-    | Ok (Sink.Int n) -> Ok n
-    | Ok v -> error "n must be an integer, got %s" (Sink.to_string v)
-    | Error e -> Error e
+  read_list c ~depth ~not_a_list:"edges must be a list, got %s" (fun () ->
+      shaped c ~depth:(depth + 1) "edge must be [src, dst, cost], got %s" edge)
+  |> Result.map (fun () ->
+         let array filler l =
+           let a = Array.make !m filler in
+           List.iteri (fun i v -> a.(!m - 1 - i) <- v) l;
+           a
+         in
+         (array 0 !src, array 0 !dst, array Rat.zero !costs))
+
+let read_types c ~depth =
+  let pairs = ref [] in
+  let pair () =
+    enter c ~depth:(depth + 1);
+    let x = Lex.int c ~depth:(depth + 2) in
+    next c;
+    let y = Lex.int c ~depth:(depth + 2) in
+    close c;
+    pairs := (x, y) :: !pairs;
+    Ok ()
   in
-  (* The edges are decoded straight into the graph's store; the graph
-     checks them once the whole description has decoded, so a malformed
-     field anywhere still wins over an invalid edge. *)
-  let* src, dst, costs =
-    match field "edges" j with
-    | Ok (Sink.List es) ->
-      let m = List.length es in
-      let src = Array.make m 0 and dst = Array.make m 0 in
-      let costs = Array.make m Rat.zero in
-      let rec go id = function
-        | [] -> Ok (src, dst, costs)
-        | Sink.List [ Sink.Int s; Sink.Int d; c ] :: rest -> (
-          match rat_of_json c with
-          | Ok c ->
-            src.(id) <- s;
-            dst.(id) <- d;
-            costs.(id) <- c;
-            go (id + 1) rest
-          | Error e -> Error e)
-        | v :: _ -> error "edge must be [src, dst, cost], got %s" (Sink.to_string v)
-      in
-      go 0 es
-    | Ok v -> error "edges must be a list, got %s" (Sink.to_string v)
-    | Error e -> Error e
-  in
-  let* entries =
-    match field "prior" j with
-    | Ok (Sink.List entries) ->
-      let pair = function
-        | Sink.List [ Sink.Int x; Sink.Int y ] -> Ok (x, y)
-        | v -> error "type must be [source, destination], got %s" (Sink.to_string v)
-      in
-      let entry e =
-        let* types =
-          match field "types" e with
-          | Ok (Sink.List ps) ->
-            let rec go acc = function
-              | [] -> Ok (Array.of_list (List.rev acc))
-              | p :: rest ->
-                let* p = pair p in
-                go (p :: acc) rest
-            in
-            go [] ps
-          | Ok v -> error "types must be a list of pairs, got %s" (Sink.to_string v)
-          | Error e -> Error e
-        in
-        let* weight = Result.bind (field "weight" e) rat_of_json in
-        Ok (types, weight)
-      in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest ->
-          let* e = entry e in
-          go (e :: acc) rest
-      in
-      go [] entries
-    | Ok v -> error "prior must be a list, got %s" (Sink.to_string v)
-    | Error e -> Error e
-  in
-  match (Graph.of_arrays kind ~n ~src ~dst ~costs, Dist.make entries) with
+  read_list c ~depth ~not_a_list:"types must be a list of pairs, got %s" (fun () ->
+      shaped c ~depth:(depth + 1) "type must be [source, destination], got %s" pair)
+  |> Result.map (fun () -> Array.of_list (List.rev !pairs))
+
+let field_of name = function
+  | None -> error "missing field %S" name
+  | Some r -> r
+
+let read_entry c ~depth =
+  let types = ref None and weight = ref None in
+  Lex.members c ~depth (fun () ->
+      if Option.is_none !types && Lex.key_is c "types" then
+        types := Some (read_types c ~depth:(depth + 1))
+      else if Option.is_none !weight && Lex.key_is c "weight" then
+        weight := Some (read_rat c ~depth:(depth + 1))
+      else Lex.skip c ~depth:(depth + 1));
+  let* types = field_of "types" !types in
+  let* weight = field_of "weight" !weight in
+  Ok (types, weight)
+
+let read_prior c ~depth =
+  let entries = ref [] in
+  read_list c ~depth ~not_a_list:"prior must be a list, got %s" (fun () ->
+      Result.map
+        (fun e -> entries := e :: !entries)
+        (read_entry c ~depth:(depth + 1)))
+  |> Result.map (fun () -> List.rev !entries)
+
+let read_game c ~depth =
+  let f = { kind = None; n = None; edges = None; prior = None } in
+  let depth' = depth + 1 in
+  Lex.members c ~depth (fun () ->
+      if Option.is_none f.kind && Lex.key_is c "kind" then
+        f.kind <-
+          Some
+            (match Lex.value c ~depth:depth' with
+            | Sink.Str "directed" -> Ok Graph.Directed
+            | Sink.Str "undirected" -> Ok Graph.Undirected
+            | v ->
+              error "kind must be \"directed\" or \"undirected\", got %s"
+                (Sink.to_string v))
+      else if Option.is_none f.n && Lex.key_is c "n" then
+        f.n <-
+          Some
+            (match Lex.value c ~depth:depth' with
+            | Sink.Int n -> Ok n
+            | v -> error "n must be an integer, got %s" (Sink.to_string v))
+      else if Option.is_none f.edges && Lex.key_is c "edges" then
+        f.edges <- Some (read_edges c ~depth:depth')
+      else if Option.is_none f.prior && Lex.key_is c "prior" then
+        f.prior <- Some (read_prior c ~depth:depth')
+      else Lex.skip c ~depth:depth');
+  f
+
+let game_of_fields f =
+  let* kind = field_of "kind" f.kind in
+  let* n = field_of "n" f.n in
+  let* src, dst, costs = field_of "edges" f.edges in
+  let* entries = field_of "prior" f.prior in
+  (* The prior is validated before the graph: an invalid prior has
+     always won over an invalid edge on the wire. *)
+  match
+    let prior = Dist.make entries in
+    (Graph.of_arrays kind ~n ~src ~dst ~costs, prior)
+  with
   | graph, prior -> Ok (graph, prior)
   | exception Invalid_argument msg -> error "invalid game description: %s" msg
   | exception Division_by_zero -> Error "invalid game description: zero denominator"

@@ -43,8 +43,22 @@ val game_to_json :
       "edges": [[src, dst, "cost"], ...],
       "prior": [{"types": [[s, d], ...], "weight": "w"}, ...]}]. *)
 
-val game_of_json :
-  Bi_engine.Sink.json ->
+type game_fields
+(** The four fields of an inline game as read off a line, before the
+    graph and the prior are built. *)
+
+val read_game : Bi_engine.Sink.Lex.t -> depth:int -> game_fields
+(** Reads the value at the cursor as a {!game_to_json} description,
+    straight into the arrays the graph keeps: no tree is built for it.
+    Each field keeps its first occurrence; a field of the wrong shape
+    keeps its error message.
+    @raise Bi_engine.Sink.Lex.Error on a syntax error, with the message
+    {!Bi_engine.Sink.of_string} gives for the same line. *)
+
+val game_of_fields :
+  game_fields ->
   (Bi_graph.Graph.t * (int * int) array Bi_prob.Dist.t, string) result
-(** Inverse of {!game_to_json}; validates through [Graph.make] and
-    [Dist.make] (endpoint ranges, non-negative costs, positive mass). *)
+(** The first error in the order kind, n, edges, prior, then the prior's
+    and the graph's validation ([Dist.make], [Graph.of_arrays]:
+    endpoint ranges, non-negative costs, positive mass); otherwise the
+    game. *)

@@ -60,29 +60,22 @@ let mem t key = Hashtbl.mem t.tbl key
 
 let evict_last t =
   match t.last with
-  | None -> None
+  | None -> ()
   | Some node ->
     unlink t node;
     Hashtbl.remove t.tbl node.key;
-    t.evictions <- t.evictions + 1;
-    Some node.key
+    t.evictions <- t.evictions + 1
 
-let add_evicting t key value =
+let add t key value =
   match Hashtbl.find_opt t.tbl key with
   | Some node ->
     node.value <- value;
-    touch t node;
-    None
+    touch t node
   | None ->
-    let evicted =
-      if Hashtbl.length t.tbl >= t.capacity then evict_last t else None
-    in
+    if Hashtbl.length t.tbl >= t.capacity then evict_last t;
     let node = { key; value; prev = None; next = None } in
     Hashtbl.replace t.tbl key node;
-    push_front t node;
-    evicted
-
-let add t key value = ignore (add_evicting t key value)
+    push_front t node
 
 let fold f acc t =
   let rec go acc = function

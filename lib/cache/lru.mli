@@ -25,10 +25,5 @@ val add : 'a t -> string -> 'a -> unit
 (** Insert or replace, marking the entry most recently used; evicts the
     least recently used entry when at capacity. *)
 
-val add_evicting : 'a t -> string -> 'a -> string option
-(** Like {!add}, but returns the key evicted to make room (if any), so
-    callers mirroring the resident key set — e.g. {!Service}'s digest
-    view — can stay exactly in sync.  A replace never evicts. *)
-
 val fold : ('acc -> string -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Folds over entries from most to least recently used. *)

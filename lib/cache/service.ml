@@ -5,12 +5,11 @@ type value =
   | Analysis of Bncs.analysis
   | Payload of Sink.json
 
+(* Each resident entry is its kind, its body rendered once at insert and
+   that rendering's check: a hit, the store line, the digest view and
+   [pull] all reuse the same bytes. *)
 type t = {
-  lru : value Lru.t;
-  (* Digest view: key → md5 of the canonical body line, mirroring the
-     LRU's resident key set exactly (entries leave on eviction), so the
-     rollup never advertises a key that [pull] cannot serve. *)
-  checks : (string, string) Hashtbl.t;
+  lru : Store.entry Lru.t;
   store : Store.t option;
   store_path : string option;
   lock : Mutex.t;
@@ -26,16 +25,34 @@ type t = {
 let kind_of = function Analysis _ -> "analysis" | Payload _ -> "payload"
 
 let body_of = function
-  | Analysis a -> Codec.analysis_to_json a
-  | Payload j -> j
+  | Analysis a -> Sink.to_string (Codec.analysis_to_json a)
+  | Payload j -> Sink.to_string j
 
-let value_of_entry (e : Store.entry) =
+let entry_of key v = Store.entry ~key ~kind:(kind_of v) (body_of v)
+
+let decode (e : Store.entry) =
   match e.Store.kind with
   | "analysis" -> (
-    match Codec.analysis_of_json e.Store.body with
+    match Result.bind (Sink.of_string e.Store.body) Codec.analysis_of_json with
     | Ok a -> Some (Analysis a)
     | Error _ -> None)
-  | "payload" -> Some (Payload e.Store.body)
+  | "payload" -> Result.to_option (Sink.of_string e.Store.body) |> Option.map (fun j -> Payload j)
+  | _ -> None
+
+(* Every resident body was rendered from a value, or replayed and
+   checked by [resident_of_stored], so it decodes. *)
+let value_of e =
+  match decode e with
+  | Some v -> v
+  | None -> invalid_arg "Service: a resident entry does not decode"
+
+(* A replayed entry as the cache keeps it: a payload as stored; an
+   analysis only when it decodes, and then in its canonical encoding,
+   which is what a hit answers with. *)
+let resident_of_stored (e : Store.entry) =
+  match e.Store.kind with
+  | "payload" -> Some e
+  | "analysis" -> Option.map (entry_of e.Store.key) (decode e)
   | _ -> None
 
 let default_capacity = 4096
@@ -50,18 +67,9 @@ let needs_compaction ~entries ~distinct ~unreadable =
   total > 0
   && (unreadable * 10 >= total || (entries - distinct) * 2 >= max 1 entries)
 
-(* Single write path for the LRU: keeps [checks] an exact mirror of the
-   resident key set, including under eviction. *)
-let resident_add lru checks k v check =
-  (match Lru.add_evicting lru k v with
-  | None -> ()
-  | Some evicted -> Hashtbl.remove checks evicted);
-  Hashtbl.replace checks k check
-
 let create ?(capacity = default_capacity) ?store_path ?(auto_compact = true)
     ?shard () =
   let lru = Lru.create ~capacity in
-  let checks = Hashtbl.create 64 in
   let loaded, invalid, quarantined, store =
     match store_path with
     | None -> (0, 0, 0, None)
@@ -85,17 +93,16 @@ let create ?(capacity = default_capacity) ?store_path ?(auto_compact = true)
       let loaded, undecodable =
         List.fold_left
           (fun (ok, bad) e ->
-            match value_of_entry e with
-            | Some v ->
-              resident_add lru checks e.Store.key v
-                (Store.check_of e.Store.body);
+            match resident_of_stored e with
+            | Some e ->
+              Lru.add lru e.Store.key e;
               (ok + 1, bad)
             | None -> (ok, bad + 1))
           (0, 0) entries
       in
       (loaded, unreadable + undecodable, quarantined, Some (Store.open_append path))
   in
-  { lru; checks; store; store_path; lock = Mutex.create (); shard; hits = 0;
+  { lru; store; store_path; lock = Mutex.create (); shard; hits = 0;
     misses = 0; loaded; invalid; quarantined; closed = false }
 
 let key ~fingerprint ~query =
@@ -105,26 +112,30 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let persist t k v =
-  match t.store with
-  | None -> ()
-  | Some store ->
-    Store.append store { Store.key = k; kind = kind_of v; body = body_of v }
+let persist t e = Option.iter (fun store -> Store.append store e) t.store
 
-let find t k =
-  locked t (fun () ->
-      match Lru.find t.lru k with
-      | Some v ->
-        t.hits <- t.hits + 1;
-        Some v
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+(* The hit path: neither [Lru.find] nor the counters can raise, so the
+   lock needs no exception handler. *)
+let lookup t k =
+  Mutex.lock t.lock;
+  let found = Lru.find t.lru k in
+  (match found with
+  | Some _ -> t.hits <- t.hits + 1
+  | None -> t.misses <- t.misses + 1);
+  Mutex.unlock t.lock;
+  found
 
-let insert t k v =
+let find t k = Option.map value_of (lookup t k)
+
+(* Rendered and checked before the lock is taken. *)
+let add t k v =
+  let e = entry_of k v in
   locked t (fun () ->
-      resident_add t.lru t.checks k v (Store.check_of (body_of v));
-      persist t k v)
+      Lru.add t.lru k e;
+      persist t e);
+  e
+
+let insert t k v = ignore (add t k v)
 
 (* The thunk runs inside the lock: correctness first (a concurrent
    caller can never observe a missing entry being computed twice).  The
@@ -132,17 +143,16 @@ let insert t k v =
    computations do not serialize behind this mutex. *)
 let memo t k wrap unwrap compute =
   locked t (fun () ->
-      match Option.bind (Lru.find t.lru k) unwrap with
+      match Option.bind (Lru.find t.lru k) (fun e -> unwrap (value_of e)) with
       | Some v ->
         t.hits <- t.hits + 1;
         (v, true)
       | None ->
         t.misses <- t.misses + 1;
         let v = compute () in
-        let wrapped = wrap v in
-        resident_add t.lru t.checks k wrapped
-          (Store.check_of (body_of wrapped));
-        persist t k wrapped;
+        let e = entry_of k (wrap v) in
+        Lru.add t.lru k e;
+        persist t e;
         (v, false))
 
 let analysis t k compute =
@@ -162,11 +172,11 @@ let payload t k compute =
 let digest_rollup t =
   locked t (fun () ->
       let per_bucket = Array.make Store.buckets [] in
-      Hashtbl.iter
-        (fun k c ->
+      Lru.fold
+        (fun () k (e : Store.entry) ->
           let b = Store.bucket_of_key k in
-          per_bucket.(b) <- (k, c) :: per_bucket.(b))
-        t.checks;
+          per_bucket.(b) <- (k, e.Store.check) :: per_bucket.(b))
+        () t.lru;
       let acc = ref [] in
       for b = Store.buckets - 1 downto 0 do
         if per_bucket.(b) <> [] then
@@ -177,10 +187,11 @@ let digest_rollup t =
 let bucket_keys t bucket =
   locked t (fun () ->
       let pairs =
-        Hashtbl.fold
-          (fun k c acc ->
-            if Store.bucket_of_key k = bucket then (k, c) :: acc else acc)
-          t.checks []
+        Lru.fold
+          (fun acc k (e : Store.entry) ->
+            if Store.bucket_of_key k = bucket then (k, e.Store.check) :: acc
+            else acc)
+          [] t.lru
       in
       List.sort compare pairs)
 
@@ -189,9 +200,7 @@ let pull t keys =
       List.fold_left
         (fun (found, missing) k ->
           match Lru.find t.lru k with
-          | Some v ->
-            ( { Store.key = k; kind = kind_of v; body = body_of v } :: found,
-              missing )
+          | Some e -> (e :: found, missing)
           | None -> (found, k :: missing))
         ([], []) keys
       |> fun (found, missing) -> (List.rev found, List.rev missing))

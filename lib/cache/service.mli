@@ -1,7 +1,10 @@
 (** The content-addressed result cache.
 
     Ties together the {!Lru} in-memory tier, the {!Codec} value codecs
-    and the {!Store} on-disk log.  Keys are game fingerprints
+    and the {!Store} on-disk log.  The cache holds bytes, not values:
+    each entry is its kind, its body rendered once at insert and that
+    rendering's MD5 ({!Store.entry}), so a hit, the store line, the
+    digest view and [pull] reuse the same bytes.  Keys are game fingerprints
     ({!Fingerprint.game}), optionally extended with a query tag
     ([fingerprint/query]) for auxiliary results that depend on solver
     parameters.  All operations are serialized by an internal mutex and
@@ -34,11 +37,25 @@ val key : fingerprint:string -> query:string -> string
 (** [key ~fingerprint ~query:""] is the fingerprint itself; otherwise
     [fingerprint ^ "/" ^ query]. *)
 
+val lookup : t -> string -> Store.entry option
+(** The resident entry under a key, as bytes; the server's hit path.
+    Counts a hit or a miss. *)
+
 val find : t -> string -> value option
-(** Counts a hit or a miss. *)
+(** {!lookup}, decoded.  Counts a hit or a miss. *)
+
+val add : t -> string -> value -> Store.entry
+(** Renders the value once, inserts the entry and appends it to the
+    store when one is attached. *)
 
 val insert : t -> string -> value -> unit
-(** Inserts and appends to the store when one is attached. *)
+(** {!add}, for callers that do not answer from the entry. *)
+
+val kind_of : value -> string
+(** ["analysis"] or ["payload"]: the {!Store.entry} kind of a value. *)
+
+val body_of : value -> string
+(** The canonical bytes a value is stored and answered as. *)
 
 val analysis :
   t -> string -> (unit -> Bi_ncs.Bayesian_ncs.analysis) ->

@@ -1,16 +1,13 @@
 module Sink = Bi_engine.Sink
 
-type entry = {
-  key : string;
-  kind : string;
-  body : Sink.json;
-}
+type entry = { key : string; kind : string; body : string; check : string }
 
 (* The checksum covers the canonical rendering of the body, so a replay
    can verify an entry without knowing how to interpret it.  Bodies are
    built from Null/Bool/Int/Str/List/Obj only (no floats), for which
    [Sink.to_string] after [Sink.of_string] is byte-identical. *)
-let check_of body = Fingerprint.digest_hex (Sink.to_string body)
+let check_of body = Fingerprint.digest_hex body
+let entry ~key ~kind body = { key; kind; body; check = check_of body }
 
 (* Digest view: keys are assigned to one of [buckets] buckets by the
    first byte of their MD5, so two shards can compare rollups in
@@ -27,16 +24,15 @@ let bucket_digest pairs =
   in
   Fingerprint.digest_hex (String.concat "" lines)
 
+(* The body's bytes are spliced in as they are: the line is the one
+   [Sink.to_string] renders for the record with the body as a tree. *)
 let entry_to_line e =
-  Sink.to_string
-    (Sink.Obj
-       [
-         ("record", Str "entry");
-         ("key", Str e.key);
-         ("kind", Str e.kind);
-         ("check", Str (check_of e.body));
-         ("body", e.body);
-       ])
+  String.concat ""
+    [
+      {|{"record":"entry","key":|}; Sink.quote e.key; {|,"kind":|};
+      Sink.quote e.kind; {|,"check":|}; Sink.quote e.check; {|,"body":|};
+      e.body; "}";
+    ]
 
 let entry_of_line line =
   match Sink.of_string line with
@@ -51,7 +47,8 @@ let entry_of_line line =
     with
     | Some (Str "entry"), Some (Str key), Some (Str kind), Some (Str check), Some body
       ->
-      if String.equal check (check_of body) then Ok { key; kind; body }
+      let body = Sink.to_string body in
+      if String.equal check (check_of body) then Ok { key; kind; body; check }
       else Error "checksum mismatch"
     | _ -> Error "not a store entry record")
 

@@ -9,19 +9,24 @@
     (including a torn final line from a crash) are counted and skipped,
     never trusted. *)
 
-type entry = {
+type entry = private {
   key : string;  (** Cache key — fingerprint, or fingerprint/query. *)
   kind : string;  (** Payload discriminator, e.g. ["analysis"]. *)
-  body : Bi_engine.Sink.json;
+  body : string;  (** The canonical JSON bytes of the body. *)
+  check : string;  (** {!check_of} [body]. *)
 }
 
-val entry_to_line : entry -> string
-val entry_of_line : string -> (entry, string) result
+val entry : key:string -> kind:string -> string -> entry
+(** [entry ~key ~kind body] for [body] in canonical JSON
+    ({!Bi_engine.Sink.to_string} of a tree). *)
 
-val check_of : Bi_engine.Sink.json -> string
-(** md5 (hex) of the canonical rendering of a body — the [check] field
-    written on every entry line and the per-key digest the repair
-    machinery compares across replicas. *)
+val entry_to_line : entry -> string
+(** The entry's line: its body and check spliced in as they are. *)
+
+val check_of : string -> string
+(** md5 (hex) of a body's canonical bytes — the [check] field written
+    on every entry line and the per-key digest the repair machinery
+    compares across replicas. *)
 
 val buckets : int
 (** Number of digest buckets (256). *)

@@ -7,23 +7,32 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most strings on the wire need no escape (keys, fingerprints,
+   rationals): they come back as they are, with no buffer. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+let quote s = "\"" ^ escape s ^ "\""
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
@@ -62,48 +71,75 @@ let to_string j =
 
 (* --- parsing --- *)
 
-exception Parse_error of string
-
-let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
 (* The parser recurses once per nesting level, so untrusted input (the
    server feeds request lines straight in here) must be depth-capped or
    a line of ten thousand '[' turns into a stack overflow instead of a
    structured error. *)
 let max_depth = 512
 
-(* A scanner over the string: one position, no option or closure per
-   character.  Escape-free strings are one [String.sub] and short
-   decimal integers are decoded in place; everything rarer (escapes,
-   fractions, exponents, long integers) takes the general route.
-   test/test_wire.ml holds the accepted language, the values and the
-   error strings to a plain recursive-descent reference parser. *)
-let of_string s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  let at c = !pos < n && s.[!pos] = c in
-  let expect c =
-    if !pos >= n then parse_error "expected %C, got end of input" c
-    else if s.[!pos] <> c then
-      parse_error "expected %C at offset %d, got %C" c !pos s.[!pos]
-    else incr pos
-  in
-  let literal word value =
-    let l = String.length word and p = !pos in
-    let rec matches i = i = l || (s.[p + i] = word.[i] && matches (i + 1)) in
-    if p + l <= n && matches 0 then begin
-      pos := p + l;
-      value
-    end
-    else parse_error "invalid literal at offset %d" p
-  in
+(* One lexer over a string: a position, no option or closure per
+   character.  The tree parser ([value]), the validating skip ([skip])
+   and the typed readers built on [first_item]/[next_item] and
+   [first_member]/[next_member] all step through the same primitives in
+   the same order, so they accept the same language and fail with the
+   same message at the same offset.  test/test_wire.ml holds that
+   language, its values and its error strings to a plain
+   recursive-descent reference parser. *)
+module Lex = struct
+  exception Error of string
+  exception Mismatch
+
+  type t = {
+    s : string;
+    n : int;
+    mutable pos : int;
+    (* The last string token: its raw span when it held no escape, else
+       its decoded text. *)
+    mutable tok_start : int;
+    mutable tok_stop : int;
+    mutable tok_text : string option;
+    mutable num : int;  (* the last integer token's value *)
+  }
+
+  let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+
+  let make s =
+    { s; n = String.length s; pos = 0; tok_start = 0; tok_stop = 0;
+      tok_text = None; num = 0 }
+
+  let pos c = c.pos
+  let seek c p = c.pos <- p
+
+  let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+
+  (* The hot loops keep the position in a local and read the string
+     unchecked below [c.n]; a compact line has no whitespace to skip,
+     so the test before the loop is the whole cost there. *)
+  let skip_ws_loop c =
+    let s = c.s and n = c.n in
+    let p = ref c.pos in
+    while !p < n && is_ws (String.unsafe_get s !p) do
+      incr p
+    done;
+    c.pos <- !p
+
+  let skip_ws c =
+    if c.pos < c.n && is_ws (String.unsafe_get c.s c.pos) then skip_ws_loop c
+
+  let at c ch = c.pos < c.n && c.s.[c.pos] = ch
+
+  let expect c ch =
+    if c.pos >= c.n then error "expected %C, got end of input" ch
+    else if c.s.[c.pos] <> ch then
+      error "expected %C at offset %d, got %C" ch c.pos c.s.[c.pos]
+    else c.pos <- c.pos + 1
+
+  let literal c word =
+    let l = String.length word and p = c.pos in
+    let rec matches i = i = l || (c.s.[p + i] = word.[i] && matches (i + 1)) in
+    if p + l <= c.n && matches 0 then c.pos <- p + l
+    else error "invalid literal at offset %d" p
+
   (* BMP code points only: our encoder never emits surrogate pairs. *)
   let utf8_of_code buf code =
     if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -116,32 +152,32 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
       Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
     end
-  in
+
   (* [int_of_string] defines the escape's digits: it also takes '_'
      separators, which the wire has always accepted. *)
-  let hex4 () =
-    if !pos + 4 > n then parse_error "truncated \\u escape at offset %d" !pos;
+  let hex4 c =
+    if c.pos + 4 > c.n then error "truncated \\u escape at offset %d" c.pos;
     let v =
-      match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+      match int_of_string_opt ("0x" ^ String.sub c.s c.pos 4) with
       | Some v -> v
-      | None -> parse_error "invalid \\u escape at offset %d" !pos
+      | None -> error "invalid \\u escape at offset %d" c.pos
     in
-    pos := !pos + 4;
+    c.pos <- c.pos + 4;
     v
-  in
-  (* Decodes from [!pos] (inside the quotes) through a buffer that
+
+  (* Decodes from [c.pos] (inside the quotes) through a buffer that
      already holds the string's clean prefix. *)
-  let rec unescape buf =
-    if !pos >= n then parse_error "unterminated string";
-    let c = s.[!pos] in
-    incr pos;
-    if c = '"' then Buffer.contents buf
+  let rec unescape c buf =
+    if c.pos >= c.n then error "unterminated string";
+    let ch = c.s.[c.pos] in
+    c.pos <- c.pos + 1;
+    if ch = '"' then Buffer.contents buf
     else begin
-      if c <> '\\' then Buffer.add_char buf c
+      if ch <> '\\' then Buffer.add_char buf ch
       else begin
-        if !pos >= n then parse_error "unterminated escape";
-        let e = s.[!pos] in
-        incr pos;
+        if c.pos >= c.n then error "unterminated escape";
+        let e = c.s.[c.pos] in
+        c.pos <- c.pos + 1;
         match e with
         | '"' -> Buffer.add_char buf '"'
         | '\\' -> Buffer.add_char buf '\\'
@@ -151,131 +187,261 @@ let of_string s =
         | 't' -> Buffer.add_char buf '\t'
         | 'b' -> Buffer.add_char buf '\b'
         | 'f' -> Buffer.add_char buf '\012'
-        | 'u' -> utf8_of_code buf (hex4 ())
-        | e -> parse_error "unknown escape \\%c" e
+        | 'u' -> utf8_of_code buf (hex4 c)
+        | e -> error "unknown escape \\%c" e
       end;
-      unescape buf
+      unescape c buf
     end
-  in
-  let parse_string () =
-    expect '"';
-    let start = !pos in
+
+  (* An escape-free string is only a span; only escapes build text. *)
+  let string_token c =
+    expect c '"';
+    let s = c.s and n = c.n in
+    let start = c.pos in
     let stop = ref start in
-    while !stop < n && s.[!stop] <> '"' && s.[!stop] <> '\\' do
+    while
+      !stop < n
+      &&
+      let ch = String.unsafe_get s !stop in
+      ch <> '"' && ch <> '\\'
+    do
       incr stop
     done;
-    if !stop < n && s.[!stop] = '"' then begin
-      pos := !stop + 1;
-      String.sub s start (!stop - start)
+    if !stop < n && String.unsafe_get s !stop = '"' then begin
+      c.pos <- !stop + 1;
+      c.tok_start <- start;
+      c.tok_stop <- !stop;
+      c.tok_text <- None
     end
     else begin
       let buf = Buffer.create (!stop - start + 16) in
-      Buffer.add_substring buf s start (!stop - start);
-      pos := !stop;
-      unescape buf
+      Buffer.add_substring buf c.s start (!stop - start);
+      c.pos <- !stop;
+      c.tok_text <- Some (unescape c buf)
     end
-  in
-  let general_number start stop =
-    let tok = String.sub s start (stop - start) in
-    let fractional = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
-    match if fractional then None else int_of_string_opt tok with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> parse_error "invalid number %S at offset %d" tok start)
-  in
-  let parse_number () =
-    let start = !pos in
+
+  let token c =
+    match c.tok_text with
+    | Some text -> text
+    | None -> String.sub c.s c.tok_start (c.tok_stop - c.tok_start)
+
+  let token_is c lit =
+    match c.tok_text with
+    | Some text -> String.equal text lit
+    | None ->
+      let l = String.length lit in
+      let rec same i = i = l || (c.s.[c.tok_start + i] = lit.[i] && same (i + 1)) in
+      c.tok_stop - c.tok_start = l && same 0
+
+  (* One number token.  [None]: an integer, left in [c.num]; [Some f]: a
+     float.  An optional sign and at most 18 digits cannot overflow and
+     read as [int_of_string] reads them; everything rarer (fractions,
+     exponents, long integers) takes the general route. *)
+  (* One number token.  [None]: an integer, left in [c.num]; [Some f]: a
+     float.  The token is the longest run of [0-9+-.eE]; an optional
+     sign and at most 18 digits cannot overflow and read as
+     [int_of_string] reads them, and is decoded in the same pass.
+     Everything rarer (fractions, exponents, long integers) takes the
+     general route. *)
+  let number_token c =
+    let s = c.s and n = c.n in
+    let start = c.pos in
+    let negative = start < n && String.unsafe_get s start = '-' in
+    let p = ref start in
+    if negative || (start < n && String.unsafe_get s start = '+') then incr p;
+    let first = !p in
+    let acc = ref 0 and plain = ref true in
     while
-      !pos < n
-      && match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false
+      !p < n
+      &&
+      match String.unsafe_get s !p with
+      | '0' .. '9' as ch ->
+        acc := (!acc * 10) + Char.code ch - 48;
+        true
+      | '-' | '+' | '.' | 'e' | 'E' ->
+        plain := false;
+        true
+      | _ -> false
     do
-      incr pos
+      incr p
     done;
-    let stop = !pos in
-    if stop = start then parse_error "unexpected character at offset %d" start;
-    (* Fast path: an optional sign and at most 18 digits, which cannot
-       overflow and which [int_of_string] reads the same way. *)
-    let negative = s.[start] = '-' in
-    let first = if negative || s.[start] = '+' then start + 1 else start in
-    let plain = ref (first < stop && stop - first <= 18) in
-    let acc = ref 0 and i = ref first in
-    while !plain && !i < stop do
-      (match s.[!i] with
-      | '0' .. '9' as c -> acc := (!acc * 10) + Char.code c - 48
-      | _ -> plain := false);
-      incr i
-    done;
-    if !plain then Int (if negative then - !acc else !acc)
-    else general_number start stop
-  in
-  let rec parse_value depth =
+    let stop = !p in
+    c.pos <- stop;
+    if stop = start then error "unexpected character at offset %d" start;
+    if !plain && first < stop && stop - first <= 18 then begin
+      c.num <- (if negative then - !acc else !acc);
+      None
+    end
+    else
+      let tok = String.sub s start (stop - start) in
+      let fractional =
+        String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok
+      in
+      match if fractional then None else int_of_string_opt tok with
+      | Some i ->
+        c.num <- i;
+        None
+      | None -> (
+        match float_of_string_opt tok with
+        | Some f -> Some f
+        | None -> error "invalid number %S at offset %d" tok start)
+
+  let peek c ~depth =
     if depth > max_depth then
-      parse_error "nesting deeper than %d at offset %d" max_depth !pos;
-    skip_ws ();
-    if !pos >= n then parse_error "unexpected end of input";
-    match s.[!pos] with
-    | 'n' -> literal "null" Null
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | '"' -> Str (parse_string ())
+      error "nesting deeper than %d at offset %d" max_depth c.pos;
+    skip_ws c;
+    if c.pos >= c.n then error "unexpected end of input";
+    c.s.[c.pos]
+
+  let first_item c =
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if at c ']' then begin
+      c.pos <- c.pos + 1;
+      false
+    end
+    else true
+
+  let next_item c =
+    skip_ws c;
+    if at c ',' then begin
+      c.pos <- c.pos + 1;
+      true
+    end
+    else if at c ']' then begin
+      c.pos <- c.pos + 1;
+      false
+    end
+    else error "expected ',' or ']' at offset %d" c.pos
+
+  let member_key c =
+    skip_ws c;
+    string_token c;
+    skip_ws c;
+    expect c ':'
+
+  let first_member c =
+    c.pos <- c.pos + 1;
+    skip_ws c;
+    if at c '}' then begin
+      c.pos <- c.pos + 1;
+      false
+    end
+    else begin
+      member_key c;
+      true
+    end
+
+  let next_member c =
+    skip_ws c;
+    if at c ',' then begin
+      c.pos <- c.pos + 1;
+      member_key c;
+      true
+    end
+    else if at c '}' then begin
+      c.pos <- c.pos + 1;
+      false
+    end
+    else error "expected ',' or '}' at offset %d" c.pos
+
+  let key = token
+  let key_is = token_is
+
+  let rec value c ~depth =
+    match peek c ~depth with
+    | 'n' ->
+      literal c "null";
+      Null
+    | 't' ->
+      literal c "true";
+      Bool true
+    | 'f' ->
+      literal c "false";
+      Bool false
+    | '"' ->
+      string_token c;
+      Str (token c)
     | '[' ->
-      incr pos;
-      skip_ws ();
-      if at ']' then begin
-        incr pos;
-        List []
-      end
-      else items depth []
+      let items = ref [] in
+      if first_item c then begin
+        items := [ value c ~depth:(depth + 1) ];
+        while next_item c do
+          items := value c ~depth:(depth + 1) :: !items
+        done
+      end;
+      List (List.rev !items)
     | '{' ->
-      incr pos;
-      skip_ws ();
-      if at '}' then begin
-        incr pos;
-        Obj []
+      let fields = ref [] in
+      if first_member c then begin
+        let more = ref true in
+        while !more do
+          let k = key c in
+          fields := (k, value c ~depth:(depth + 1)) :: !fields;
+          more := next_member c
+        done
+      end;
+      Obj (List.rev !fields)
+    | _ -> ( match number_token c with None -> Int c.num | Some f -> Float f)
+
+  let rec skip c ~depth =
+    match peek c ~depth with
+    | 'n' -> literal c "null"
+    | 't' -> literal c "true"
+    | 'f' -> literal c "false"
+    | '"' -> string_token c
+    | '[' ->
+      if first_item c then begin
+        skip c ~depth:(depth + 1);
+        while next_item c do
+          skip c ~depth:(depth + 1)
+        done
       end
-      else fields depth []
-    | _ -> parse_number ()
-  and items depth acc =
-    let v = parse_value (depth + 1) in
-    skip_ws ();
-    if at ',' then begin
-      incr pos;
-      items depth (v :: acc)
+    | '{' ->
+      if first_member c then begin
+        skip c ~depth:(depth + 1);
+        while next_member c do
+          skip c ~depth:(depth + 1)
+        done
+      end
+    | _ -> ignore (number_token c)
+
+  let members c ~depth read =
+    if peek c ~depth <> '{' then skip c ~depth
+    else if first_member c then begin
+      read ();
+      while next_member c do
+        read ()
+      done
     end
-    else if at ']' then begin
-      incr pos;
-      List (List.rev (v :: acc))
-    end
-    else parse_error "expected ',' or ']' at offset %d" !pos
-  and fields depth acc =
-    skip_ws ();
-    let k = parse_string () in
-    skip_ws ();
-    expect ':';
-    let v = parse_value (depth + 1) in
-    skip_ws ();
-    if at ',' then begin
-      incr pos;
-      fields depth ((k, v) :: acc)
-    end
-    else if at '}' then begin
-      incr pos;
-      Obj (List.rev ((k, v) :: acc))
-    end
-    else parse_error "expected ',' or '}' at offset %d" !pos
-  in
+
+  let int c ~depth =
+    match peek c ~depth with
+    | 'n' | 't' | 'f' | '"' | '[' | '{' -> raise_notrace Mismatch
+    | _ -> (
+      match number_token c with
+      | None -> c.num
+      | Some _ -> raise_notrace Mismatch)
+
+  let string c ~depth =
+    if peek c ~depth <> '"' then raise_notrace Mismatch;
+    string_token c;
+    token c
+
+  let finish c =
+    skip_ws c;
+    if c.pos <> c.n then error "trailing bytes at offset %d" c.pos
+end
+
+let of_string s =
+  let c = Lex.make s in
   match
-    let v = parse_value 0 in
-    skip_ws ();
-    if !pos <> n then parse_error "trailing bytes at offset %d" !pos;
+    let v = Lex.value c ~depth:0 in
+    Lex.finish c;
     v
   with
   | v -> Ok v
-  | exception Parse_error msg -> Error msg
+  | exception Lex.Error msg -> Error msg
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields

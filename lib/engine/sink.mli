@@ -22,6 +22,10 @@ val escape : string -> string
     for [\n], [\r], [\t], [\b], [\f]; [\u00XX] otherwise); all other
     bytes pass through untouched, so UTF-8 payloads survive verbatim. *)
 
+val quote : string -> string
+(** [quote s] is [s] as a JSON string literal: {!escape}d, in quotes —
+    the bytes {!to_string} writes for [Str s]. *)
+
 val to_string : json -> string
 (** Compact single-line rendering. *)
 
@@ -35,6 +39,75 @@ val of_string : string -> (json, string) result
     [Obj] round-trip byte-identically.  Total on untrusted input:
     nesting deeper than 512 levels is a parse error, never a stack
     overflow. *)
+
+(** The lexer {!of_string} runs on, for readers that take a line apart
+    without building its whole tree: the router's scan of a shard
+    answer, the request decoder that reads an inline game straight into
+    arrays.  Every reader steps through the same primitives in the same
+    order as {!of_string}, so it accepts exactly the lines {!of_string}
+    accepts and rejects the others with the same message.
+
+    A value is read at a nesting [depth] (the top-level value at 0, an
+    object's members and an array's items one deeper).  A syntax error
+    raises {!Error}. *)
+module Lex : sig
+  exception Error of string
+  (** The message {!of_string} returns in its [Error]. *)
+
+  exception Mismatch
+  (** Raised by a typed reader ({!int}) when the value at the cursor is
+      well formed but of another type.  The cursor is then somewhere
+      inside that value: {!seek} back to re-read it. *)
+
+  type t
+
+  val make : string -> t
+  val pos : t -> int
+  val seek : t -> int -> unit
+
+  val peek : t -> depth:int -> char
+  (** Skips whitespace and returns the first byte of the next value,
+      without consuming it. *)
+
+  val value : t -> depth:int -> json
+  (** Reads one value as a tree. *)
+
+  val skip : t -> depth:int -> unit
+  (** Reads one value and drops it, building nothing for escape-free
+      strings and plain integers. *)
+
+  val int : t -> depth:int -> int
+  (** Reads one value that must be an integer.
+      @raise Mismatch on any other well-formed value. *)
+
+  val string : t -> depth:int -> string
+  (** Reads one value that must be a string.
+      @raise Mismatch on any other well-formed value. *)
+
+  val first_item : t -> bool
+  (** At a ['\['] returned by {!peek}: enters the array; [true] when it
+      has a first item, then at the cursor. *)
+
+  val next_item : t -> bool
+  (** After an item: [true] when another one follows, [false] past the
+      closing bracket. *)
+
+  val members : t -> depth:int -> (unit -> unit) -> unit
+  (** [members c ~depth read] calls [read] on each member of the object
+      at the cursor, with its key ({!key}) entered and its value at the
+      cursor, for [read] to consume; a value that is not an object is
+      only checked ({!skip}). *)
+
+  val key : t -> string
+  (** The key of the member just entered.  Valid until the cursor reads
+      another string. *)
+
+  val key_is : t -> string -> bool
+  (** [key_is c k] is [key c = k], without building the key. *)
+
+  val finish : t -> unit
+  (** Only whitespace may follow the value just read. *)
+end
 
 val member : string -> json -> json option
 (** [member key j] is the field [key] of an [Obj] ([None] when absent or

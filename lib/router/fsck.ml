@@ -57,8 +57,7 @@ let store_source ~name path =
         | last ->
           Ok
             (Hashtbl.fold
-               (fun k (e : Store.entry) acc ->
-                 (k, Store.check_of e.Store.body) :: acc)
+               (fun k (e : Store.entry) acc -> (k, e.Store.check) :: acc)
                last []));
     pull =
       (fun keys ->
@@ -81,8 +80,8 @@ let store_source ~name path =
    caller (the CLI wires it to [Client]; keeping the transport out of
    this module keeps the driver deterministic and testable). *)
 let exchange_source ~name exchange =
-  let call req decode =
-    match exchange req with
+  let call line decode =
+    match exchange line with
     | Error e -> Error e
     | Ok resp ->
       if Bi_serve.Protocol.is_ok resp then decode resp
@@ -99,7 +98,9 @@ let exchange_source ~name exchange =
         (* Rollup first, then only the non-empty buckets: O(buckets)
            exchanges, each bounded by one bucket's keys. *)
         match
-          call (Bi_serve.Protocol.digest_request ()) Bi_serve.Protocol.rollup_of
+          call
+            (Sink.to_string (Bi_serve.Protocol.digest_request ()))
+            Bi_serve.Protocol.rollup_of
         with
         | Error e -> Error e
         | Ok rollup ->
@@ -110,7 +111,7 @@ let exchange_source ~name exchange =
               | Ok pairs -> (
                 match
                   call
-                    (Bi_serve.Protocol.digest_request ~bucket:b ())
+                    (Sink.to_string (Bi_serve.Protocol.digest_request ~bucket:b ()))
                     Bi_serve.Protocol.bucket_keys_of
                 with
                 | Error e -> Error e
@@ -118,11 +119,13 @@ let exchange_source ~name exchange =
             (Ok []) rollup);
     pull =
       (fun keys ->
-        call (Bi_serve.Protocol.pull_request keys) Bi_serve.Protocol.entries_of);
+        call
+          (Sink.to_string (Bi_serve.Protocol.pull_request keys))
+          Bi_serve.Protocol.entries_of);
     push =
       (fun (e : Store.entry) ->
         call
-          (Bi_serve.Protocol.put_request ~kind:e.Store.kind
+          (Bi_serve.Protocol.put_line ~kind:e.Store.kind
              ~fingerprint:e.Store.key e.Store.body)
           (fun _ -> Ok ()));
   }

@@ -49,11 +49,12 @@ val store_source : name:string -> string -> source
     (last verified entry per key), pushes append. *)
 
 val exchange_source :
-  name:string ->
-  (Bi_engine.Sink.json -> (Bi_engine.Sink.json, string) result) ->
-  source
-(** A live shard behind one-exchange-per-request transport.  A shard
-    that rejects [digest] (pre-repair build) surfaces as unreachable. *)
+  name:string -> (string -> (Bi_engine.Sink.json, string) result) -> source
+(** A live shard behind one-exchange-per-request transport: the function
+    sends one request line and returns the parsed answer.  Pushes splice
+    the entry's bytes into the [put] line ({!Bi_serve.Protocol.put_line}).
+    A shard that rejects [digest] (pre-repair build) surfaces as
+    unreachable. *)
 
 val divergences :
   ring:Ring.t ->

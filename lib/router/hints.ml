@@ -11,7 +11,7 @@ type hint = {
   member : string;
   fingerprint : string;
   kind : string;
-  body : Sink.json;
+  body : string;
 }
 
 type t = {
@@ -32,32 +32,30 @@ type t = {
 let log_key ~member ~fingerprint = member ^ "|" ^ fingerprint
 
 let hint_to_entry h =
-  {
-    Store.key = log_key ~member:h.member ~fingerprint:h.fingerprint;
-    kind = "hint";
-    body =
-      Sink.Obj
-        [
-          ("member", Sink.Str h.member);
-          ("fingerprint", Sink.Str h.fingerprint);
-          ("kind", Sink.Str h.kind);
-          ("body", h.body);
-        ];
-  }
+  Store.entry
+    ~key:(log_key ~member:h.member ~fingerprint:h.fingerprint)
+    ~kind:"hint"
+    (String.concat ""
+       [ {|{"member":|}; Sink.quote h.member; {|,"fingerprint":|};
+         Sink.quote h.fingerprint; {|,"kind":|}; Sink.quote h.kind;
+         {|,"body":|}; h.body; "}" ])
 
-let drop_entry key = { Store.key; kind = "hint-drop"; body = Sink.Null }
+let drop_entry key = Store.entry ~key ~kind:"hint-drop" "null"
 
 let hint_of_entry (e : Store.entry) =
-  match
-    ( Sink.member "member" e.Store.body,
-      Sink.member "fingerprint" e.Store.body,
-      Sink.member "kind" e.Store.body,
-      Sink.member "body" e.Store.body )
-  with
-  | Some (Sink.Str member), Some (Sink.Str fingerprint), Some (Sink.Str kind),
-    Some body ->
-    Some { member; fingerprint; kind; body }
-  | _ -> None
+  match Sink.of_string e.Store.body with
+  | Error _ -> None
+  | Ok record -> (
+    match
+      ( Sink.member "member" record,
+        Sink.member "fingerprint" record,
+        Sink.member "kind" record,
+        Sink.member "body" record )
+    with
+    | Some (Sink.Str member), Some (Sink.Str fingerprint), Some (Sink.Str kind),
+      Some body ->
+      Some { member; fingerprint; kind; body = Sink.to_string body }
+    | _ -> None)
 
 let append_opt store entry =
   match store with None -> () | Some s -> Store.append s entry

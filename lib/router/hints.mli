@@ -20,7 +20,7 @@ type hint = {
   member : string;  (** The owner that missed the write. *)
   fingerprint : string;  (** Cache key of the missed entry. *)
   kind : string;  (** Store kind: ["analysis"] or ["payload"]. *)
-  body : Bi_engine.Sink.json;  (** Canonical encoded body. *)
+  body : string;  (** The body's canonical bytes. *)
 }
 
 type t
@@ -34,8 +34,7 @@ val create : ?capacity:int -> ?path:string -> unit -> t
     @raise Invalid_argument when [capacity < 1]. *)
 
 val record :
-  t -> member:string -> fingerprint:string -> kind:string ->
-  Bi_engine.Sink.json -> int
+  t -> member:string -> fingerprint:string -> kind:string -> string -> int
 (** Parks a missed write; returns the number of older hints evicted to
     make room (0 or 1). *)
 

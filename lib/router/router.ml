@@ -106,7 +106,7 @@ type t = {
   membership : Membership.t;
   mutable ring : Ring.t;  (* immutable value, swapped under [ring_lock] *)
   ring_lock : Mutex.t;
-  front : Sink.json Lru.t;  (* fingerprint -> encoded analysis *)
+  front : string Lru.t;  (* fingerprint -> the analysis body's bytes *)
   front_lock : Mutex.t;
   hints : Hints.t;
   ls : Lineserver.t;
@@ -167,9 +167,9 @@ let front_find t fingerprint =
   Mutex.unlock t.front_lock;
   v
 
-let front_store t fingerprint analysis =
+let front_store t fingerprint body =
   Mutex.lock t.front_lock;
-  Lru.add t.front fingerprint analysis;
+  Lru.add t.front fingerprint body;
   Mutex.unlock t.front_lock
 
 let front_snapshot t =
@@ -186,10 +186,12 @@ let front_snapshot t =
    immediately so the router can fail over to the next owner instead of
    camping on a corpse; the health prober (not the request path) is
    what decides a shard is down.  [line] is sent verbatim: a client's
-   request is forwarded as the bytes it sent.  Two transports send it:
-   a request-path worker's persistent links ({!exchange_linked}) and
-   the poller's one-shot connections ({!exchange}). *)
-type send = string -> string -> (Sink.json, Client.failure) result
+   request is forwarded as the bytes it sent, and an answer is read
+   once ({!Protocol.scan_answer}) and relayed as the bytes the shard
+   sent.  Two transports send it: a request-path worker's persistent
+   links ({!exchange_linked}) and the poller's one-shot connections
+   ({!exchange}). *)
+type send = string -> string -> (Protocol.answer, Client.failure) result
 
 let connect t ~timeout_s member =
   match addr_of_member member with
@@ -204,12 +206,14 @@ let connect t ~timeout_s member =
 
 (* One connection per exchange: the poller's probes, hint drains,
    warming and anti-entropy.  A probe on a fresh connection proves that
-   the shard's accept loop still answers. *)
-let exchange t ?(timeout_s = t.config.shard_timeout_s) member line =
+   the shard's accept loop still answers.  [read] takes the answer line
+   apart: {!Protocol.scan_answer}, or [Sink.of_string] for the repair
+   verbs' answers. *)
+let exchange t ?(timeout_s = t.config.shard_timeout_s) read member line =
   Result.bind (connect t ~timeout_s member) (fun client ->
       Fun.protect
         ~finally:(fun () -> Client.close client)
-        (fun () -> Client.request_line client line))
+        (fun () -> Client.request_with client line read))
 
 (* A router worker — the [Lineserver] thread serving one client
    connection — keeps at most one idle link per member, and only that
@@ -231,26 +235,26 @@ let exchange_linked t (links : links) member line =
     | Error _ -> Client.close client);
     result
   in
+  let request client = Client.request_with client line Protocol.scan_answer in
   let fresh () =
     Result.bind (connect t ~timeout_s:t.config.shard_timeout_s member)
-      (fun client -> settle client (Client.request_line client line))
+      (fun client -> settle client (request client))
   in
   match Hashtbl.find_opt links member with
   | None -> fresh ()
   | Some client -> (
     Hashtbl.remove links member;
-    match Client.request_line client line with
+    match request client with
     | Error _ when Client.hung_up client ->
       Client.close client;
       fresh ()
     | result -> settle client result)
 
+(* [body] is the entry's canonical bytes, spliced into the put line. *)
 let put_to t ~(send : send) ~tick ?(kind = "analysis") member ~fingerprint body =
   Metrics.incr t.metrics.forwards;
-  match
-    send member (Sink.to_string (Protocol.put_request ~kind ~fingerprint body))
-  with
-  | Ok resp when Protocol.is_ok resp ->
+  match send member (Protocol.put_line ~kind ~fingerprint body) with
+  | Ok { Protocol.code = Some "ok"; _ } ->
     Metrics.incr t.metrics.replications;
     true
   | Ok _ ->
@@ -317,8 +321,9 @@ let candidates t fingerprint =
   live @ dead
 
 let no_shard_error fingerprint =
-  Protocol.error
-    (Printf.sprintf "no shard available for fingerprint %s" fingerprint)
+  Sink.to_string
+    (Protocol.error
+       (Printf.sprintf "no shard available for fingerprint %s" fingerprint))
 
 (* Forward an analysis request (as its original line, so deadline and
    every other field ride along verbatim) on its tier's routing key.
@@ -328,20 +333,22 @@ let no_shard_error fingerprint =
    and the deadline belongs to the client, not to the routing.  Only a
    front-cacheable tier ({!Tier.front_cacheable}) is looked up in, and
    stored to, the front cache and replicated; every other answer is
-   forwarded untouched. *)
+   forwarded untouched.  Every answer is the shard's line as it came;
+   the front cache keeps the span of its ["analysis"] member, and a
+   front hit splices those bytes under a cached answer's header. *)
 let route_analysis t ~send ~tick ~request ~tier fingerprint =
   let front = Tier.front_cacheable tier in
   match if front then front_find t fingerprint else None with
-  | Some analysis ->
+  | Some body ->
     Metrics.incr t.metrics.front_hits;
-    Tier.front_hit ~fingerprint analysis
+    Tier.response Tier.Exhaustive ~fingerprint ~cached:true body
   | None ->
     let key_owners = owners t fingerprint in
     let rec attempt last failed = function
       | [] -> (
         Metrics.incr t.metrics.unrouted;
         match last with
-        | Some resp -> resp
+        | Some line -> line
         | None -> no_shard_error fingerprint)
       | member :: rest -> (
         Metrics.incr t.metrics.forwards;
@@ -350,20 +357,15 @@ let route_analysis t ~send ~tick ~request ~tier fingerprint =
           ignore (Membership.note_failure t.membership ~now:tick member);
           if rest <> [] then Metrics.incr t.metrics.failovers;
           attempt last (member :: failed) rest
-        | Ok resp -> (
-          match Protocol.response_code resp with
+        | Ok (answer : Protocol.answer) -> (
+          match answer.code with
           | Some "ok" ->
-            (match if front then Tier.front_body resp else None with
-            | Some analysis ->
-              front_store t fingerprint analysis;
-              let fresh =
-                match Sink.member "cached" resp with
-                | Some (Sink.Bool cached) -> not cached
-                | _ -> false
-              in
-              if fresh then
-                replicate t ~send ~tick ~answered_by:member ~fingerprint
-                  analysis
+            (match if front then answer.analysis else None with
+            | Some (start, stop) ->
+              let body = String.sub answer.line start (stop - start) in
+              front_store t fingerprint body;
+              if answer.cached = Some false then
+                replicate t ~send ~tick ~answered_by:member ~fingerprint body
               else
                 (* Read-repair: a failover read answered from a
                    replica's cache means every owner we passed over is
@@ -373,15 +375,15 @@ let route_analysis t ~send ~tick ~request ~tier fingerprint =
                   (fun m ->
                     if List.mem m key_owners then begin
                       Metrics.incr t.metrics.read_repairs;
-                      hint t m ~fingerprint ~kind:"analysis" analysis
+                      hint t m ~fingerprint ~kind:"analysis" body
                     end)
                   failed
             | None -> ());
-            resp
+            answer.line
           | Some "overloaded" ->
             if rest <> [] then Metrics.incr t.metrics.failovers;
-            attempt (Some resp) failed rest
-          | _ -> resp))
+            attempt (Some answer.line) failed rest
+          | _ -> answer.line))
     in
     attempt None [] (candidates t fingerprint)
 
@@ -396,14 +398,15 @@ let route_put t ~send ~tick ~fingerprint ~kind body =
     put_or_hint t ~send ~tick ~kind ~fingerprint ~enough:max_int all_owners
       body
   in
-  if acks >= min t.config.quorum (max 1 (List.length live)) then
-    Protocol.ok_stored ~fingerprint
-  else begin
-    Metrics.incr t.metrics.quorum_failures;
-    Protocol.error
-      (Printf.sprintf "quorum not met for %s: %d/%d acks" fingerprint acks
-         t.config.quorum)
-  end
+  Sink.to_string
+    (if acks >= min t.config.quorum (max 1 (List.length live)) then
+       Protocol.ok_stored ~fingerprint
+     else begin
+       Metrics.incr t.metrics.quorum_failures;
+       Protocol.error
+         (Printf.sprintf "quorum not met for %s: %d/%d acks" fingerprint acks
+            t.config.quorum)
+     end)
 
 let members_json t =
   Sink.Obj
@@ -440,7 +443,7 @@ let dispatch t ~send ~tick line =
   match Protocol.parse_request line with
   | Error e ->
     Metrics.incr t.metrics.errors;
-    (Protocol.error e, `Continue)
+    (Sink.to_string (Protocol.error e), `Continue)
   | Ok { Protocol.query; _ } -> (
     (* Routing keys are tier-qualified, so the tiers' answers for the
        same game live on (possibly) different owners and never alias. *)
@@ -457,25 +460,23 @@ let dispatch t ~send ~tick line =
       match Fingerprint.of_construction name k with
       | Error e ->
         Metrics.incr t.metrics.errors;
-        (Protocol.error e, `Continue)
+        (Sink.to_string (Protocol.error e), `Continue)
       | Ok fingerprint -> route fingerprint ~mode ~concept)
     | Protocol.Put { fingerprint; value } ->
-      let kind, body =
-        match value with
-        | Bi_cache.Service.Analysis analysis ->
-          ("analysis", Bi_cache.Codec.analysis_to_json analysis)
-        | Bi_cache.Service.Payload body -> ("payload", body)
-      in
-      (route_put t ~send ~tick ~fingerprint ~kind body, `Continue)
+      ( route_put t ~send ~tick ~fingerprint
+          ~kind:(Bi_cache.Service.kind_of value)
+          (Bi_cache.Service.body_of value),
+        `Continue )
     | Protocol.Digest _ | Protocol.Pull _ ->
       (* Cluster-internal verbs: replica state lives on shards, the
          router holds only an ephemeral front cache.  fsck and the
          repair loop address shards directly. *)
-      ( Protocol.error "digest/pull are shard verbs; address a shard directly",
+      ( Sink.to_string
+          (Protocol.error "digest/pull are shard verbs; address a shard directly"),
         `Continue )
-    | Protocol.Stats -> (router_stats t, `Continue)
-    | Protocol.Health -> (router_health t, `Continue)
-    | Protocol.Shutdown -> (Protocol.ok_shutdown, `Stop))
+    | Protocol.Stats -> (Sink.to_string (router_stats t), `Continue)
+    | Protocol.Health -> (Sink.to_string (router_health t), `Continue)
+    | Protocol.Shutdown -> (Sink.to_string Protocol.ok_shutdown, `Stop))
 
 (* Every handled line is counted on entry and timed on exit, whether it
    returns or raises, so after shutdown [requests] equals the
@@ -505,10 +506,11 @@ let handle t ~send ~tick line =
 let warm t ~tick member =
   let entries, _, _ = front_snapshot t in
   List.iter
-    (fun (fingerprint, analysis) ->
+    (fun (fingerprint, body) ->
       if List.mem member (owners t fingerprint) then
-        if put_to t ~send:(exchange t) ~tick member ~fingerprint analysis then
-          Metrics.incr t.metrics.warmed)
+        if put_to t ~send:(exchange t Protocol.scan_answer) ~tick member
+             ~fingerprint body
+        then Metrics.incr t.metrics.warmed)
     entries
 
 (* Deliver the writes a member missed while unreachable.  Runs on its
@@ -519,8 +521,9 @@ let drain_hints t ~tick member =
   List.iter
     (fun (h : Hints.hint) ->
       if
-        put_to t ~send:(exchange t) ~tick ~kind:h.Hints.kind member
-          ~fingerprint:h.Hints.fingerprint h.Hints.body
+        put_to t ~send:(exchange t Protocol.scan_answer) ~tick
+          ~kind:h.Hints.kind member ~fingerprint:h.Hints.fingerprint
+          h.Hints.body
       then Metrics.incr t.metrics.repairs
       else
         ignore
@@ -532,10 +535,11 @@ let probe t ~tick member =
   Metrics.incr t.metrics.probes;
   let healthy =
     match
-      exchange t ~timeout_s:t.config.probe_timeout_s member
+      exchange t ~timeout_s:t.config.probe_timeout_s Protocol.scan_answer
+        member
         (Sink.to_string Protocol.health_request)
     with
-    | Ok resp -> Protocol.is_ok resp
+    | Ok answer -> answer.Protocol.code = Some "ok"
     | Error _ -> false
   in
   if healthy then (
@@ -558,7 +562,10 @@ let probe t ~tick member =
    bucket.  [Error] covers transport failure and pre-repair shards that
    reject the verb — both mean "skip this round", never "diverged". *)
 let member_rollup t member =
-  match exchange t member (Sink.to_string (Protocol.digest_request ())) with
+  match
+    exchange t Sink.of_string member
+      (Sink.to_string (Protocol.digest_request ()))
+  with
   | Error _ -> Error ()
   | Ok resp ->
     if Protocol.is_ok resp then
@@ -567,7 +574,8 @@ let member_rollup t member =
 
 let member_bucket t member b =
   match
-    exchange t member (Sink.to_string (Protocol.digest_request ~bucket:b ()))
+    exchange t Sink.of_string member
+      (Sink.to_string (Protocol.digest_request ~bucket:b ()))
   with
   | Error _ -> Error ()
   | Ok resp ->
@@ -600,7 +608,7 @@ let repair_bucket t ~tick a b bucket =
         let targets = Fsck.targets d in
         if targets <> [] then begin
           match
-            exchange t d.Fsck.authority
+            exchange t Sink.of_string d.Fsck.authority
               (Sink.to_string (Protocol.pull_request [ d.Fsck.key ]))
           with
           | Error _ -> ()
@@ -610,7 +618,7 @@ let repair_bucket t ~tick a b bucket =
               List.iter
                 (fun target ->
                   if
-                    put_to t ~send:(exchange t) ~tick
+                    put_to t ~send:(exchange t Protocol.scan_answer) ~tick
                       ~kind:entry.Bi_cache.Store.kind target
                       ~fingerprint:entry.Bi_cache.Store.key
                       entry.Bi_cache.Store.body
@@ -768,7 +776,7 @@ let handle_conn t ~send oc line =
   let response, disposition = handle t ~send ~tick:0 line in
   let delivered =
     try
-      output_string oc (Sink.to_string response);
+      output_string oc response;
       output_char oc '\n';
       flush oc;
       true

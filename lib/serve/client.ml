@@ -123,17 +123,19 @@ let raw_request t line =
 
 let hung_up t = t.hung_up
 
-let request_line t line =
+let request_with t line read =
   match raw_request t line with
   | Error _ as e -> e
   | Ok response -> (
-    match Sink.of_string response with
-    | Ok j -> Ok j
+    match read response with
+    | Ok v -> Ok v
     | Error e ->
       let torn = connection_ended t in
       mark_broken t;
       if torn then Error (Io (Printf.sprintf "torn response (%s)" e))
       else Error (Malformed e))
+
+let request_line t line = request_with t line Sink.of_string
 
 let request_once t j = request_line t (Sink.to_string j)
 

@@ -95,6 +95,14 @@ val request_line : t -> string -> (Bi_engine.Sink.json, failure) result
     {!request} does — a torn line is {!failure.Io}, a garbled line on a
     live connection {!failure.Malformed}. *)
 
+val request_with :
+  t -> string -> (string -> ('a, string) result) -> ('a, failure) result
+(** {!request_line} with its own reader of the response line in place
+    of {!Bi_engine.Sink.of_string}: a line the reader rejects is
+    classified, and breaks the connection, as a line that does not
+    parse.  The router reads shard answers with
+    {!Protocol.scan_answer}. *)
+
 val raw_request : t -> string -> (string, failure) result
 (** Sends a raw line (no JSON validation — the fuzz and soak harnesses
     use this to probe with garbage) and returns the raw response line.

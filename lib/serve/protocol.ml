@@ -67,19 +67,37 @@ let parse_concept j =
   | Some v ->
     Error (Printf.sprintf "concept must be a string, got %s" (Sink.to_string v))
 
+module Lex = Sink.Lex
+
+(* The request's members as a tree, except its first ["game"], which is
+   read straight into arrays ({!Codec.read_game}): an inline game is
+   most of an [analyze] line.  A line that is not an object has no
+   members. *)
+let read_request line =
+  let c = Lex.make line in
+  let members = ref [] and game = ref None in
+  Lex.members c ~depth:0 (fun () ->
+      if not (Lex.key_is c "game") then
+        let k = Lex.key c in
+        members := (k, Lex.value c ~depth:1) :: !members
+      else if Option.is_none !game then game := Some (Codec.read_game c ~depth:1)
+      else Lex.skip c ~depth:1);
+  Lex.finish c;
+  (Sink.Obj (List.rev !members), !game)
+
 let parse_request line =
-  match Sink.of_string line with
-  | Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
-  | Ok j -> (
+  match read_request line with
+  | exception Lex.Error e -> Error (Printf.sprintf "invalid JSON: %s" e)
+  | j, game -> (
     let with_deadline query =
       Result.map (fun deadline_ms -> { query; deadline_ms }) (parse_deadline j)
     in
     match Sink.member "op" j with
     | Some (Sink.Str "analyze") -> (
-      match Sink.member "game" j with
+      match game with
       | None -> Error "analyze: missing \"game\""
       | Some game -> (
-        match Codec.game_of_json game with
+        match Codec.game_of_fields game with
         | Ok (graph, prior) ->
           Result.bind (parse_mode j) (fun mode ->
               Result.bind (parse_concept j) (fun concept ->
@@ -200,6 +218,12 @@ let construction_request ?deadline_ms ?(mode = Mode.default)
     @ concept_field concept
     @ deadline_field deadline_ms)
 
+let put_line ?(kind = "analysis") ~fingerprint body =
+  let kind_field = if kind = "analysis" then "" else {|,"kind":|} ^ Sink.quote kind in
+  String.concat ""
+    [ {|{"op":"put","fingerprint":|}; Sink.quote fingerprint; kind_field;
+      {|,"analysis":|}; body; "}" ]
+
 let put_request ?(kind = "analysis") ~fingerprint body =
   (* The ["kind"] field is emitted only for non-analysis payloads, so
      analysis replication stays byte-identical to pre-repair traffic. *)
@@ -282,22 +306,17 @@ let ok_bucket ~shard ~bucket ~keys =
        List (List.map (fun (k, c) -> Sink.List [ Str k; Str c ]) keys));
     ]
 
-let entry_to_json (e : Bi_cache.Store.entry) =
-  Sink.Obj
-    [
-      ("key", Sink.Str e.Bi_cache.Store.key);
-      ("kind", Sink.Str e.Bi_cache.Store.kind);
-      ("body", e.Bi_cache.Store.body);
-    ]
-
 let ok_pulled ~shard ~entries ~missing =
-  Sink.Obj
-    [
-      ("ok", Bool true);
-      ("shard", Str shard);
-      ("entries", List (List.map entry_to_json entries));
-      ("missing", List (List.map (fun k -> Sink.Str k) missing));
-    ]
+  let entry (e : Bi_cache.Store.entry) =
+    String.concat ""
+      [ {|{"key":|}; Sink.quote e.Bi_cache.Store.key; {|,"kind":|};
+        Sink.quote e.Bi_cache.Store.kind; {|,"body":|}; e.Bi_cache.Store.body;
+        "}" ]
+  in
+  String.concat ""
+    [ {|{"ok":true,"shard":|}; Sink.quote shard; {|,"entries":[|};
+      String.concat "," (List.map entry entries); {|],"missing":|};
+      Sink.to_string (Sink.List (List.map (fun k -> Sink.Str k) missing)); "}" ]
 
 (* Client-side decoders for the repair verbs (router repair loop, fsck).
    Total: any malformed shape is an [Error], never an exception. *)
@@ -335,7 +354,7 @@ let entries_of j =
            Sink.member "body" item)
         with
         | Some (Sink.Str key), Some (Sink.Str kind), Some body ->
-          go ({ Bi_cache.Store.key; kind; body } :: acc) rest
+          go (Bi_cache.Store.entry ~key ~kind (Sink.to_string body) :: acc) rest
         | _ -> Error "pull: malformed entry")
     in
     go [] items
@@ -378,6 +397,49 @@ let response_code j =
     (* Pre-[code] servers: any well-formed failure is a plain error. *)
     | _ -> ( match Sink.member "error" j with Some _ -> Some "error" | None -> None))
   | _ -> None
+
+type answer = {
+  line : string;
+  code : string option;
+  cached : bool option;
+  analysis : (int * int) option;
+}
+
+let scan_answer line =
+  let c = Lex.make line in
+  match
+    let ok = ref None and code = ref None and error = ref false in
+    let cached = ref None and analysis = ref None in
+    Lex.members c ~depth:0 (fun () ->
+        let first slot name = Option.is_none !slot && Lex.key_is c name in
+        if first ok "ok" then ok := Some (Lex.value c ~depth:1)
+        else if first code "code" then code := Some (Lex.value c ~depth:1)
+        else if first cached "cached" then cached := Some (Lex.value c ~depth:1)
+        else if first analysis "analysis" then begin
+          ignore (Lex.peek c ~depth:1);
+          let start = Lex.pos c in
+          Lex.skip c ~depth:1;
+          analysis := Some (start, Lex.pos c)
+        end
+        else begin
+          if Lex.key_is c "error" then error := true;
+          Lex.skip c ~depth:1
+        end);
+    Lex.finish c;
+    let code =
+      match !ok with
+      | Some (Sink.Bool true) -> Some "ok"
+      | Some (Sink.Bool false) -> (
+        match !code with
+        | Some (Sink.Str c) -> Some c
+        | _ -> if !error then Some "error" else None)
+      | _ -> None
+    in
+    let cached = match !cached with Some (Sink.Bool b) -> Some b | _ -> None in
+    { line; code; cached; analysis = !analysis }
+  with
+  | answer -> Ok answer
+  | exception Lex.Error e -> Error e
 
 let retry_after_ms j =
   match Sink.member "retry_after_ms" j with

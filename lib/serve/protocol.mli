@@ -75,6 +75,11 @@ val max_k : int
     failing deep inside a construction builder or exhausting memory. *)
 
 val parse_request : string -> (request, string) result
+(** An [analyze] line's game is read straight into the graph's arrays
+    ({!Bi_cache.Codec.read_game}), with no tree for it; every other
+    member is read as a tree.  The result, error strings included, is
+    the one of reading the whole line with {!Bi_engine.Sink.of_string}
+    and decoding the tree. *)
 
 (** Request builders (client side). *)
 
@@ -116,6 +121,12 @@ val put_request :
     analysis puts stay byte-identical to pre-repair traffic); pass
     ["payload"] to store the body verbatim. *)
 
+val put_line : ?kind:string -> fingerprint:string -> string -> string
+(** {!put_request} as a line, with the body's canonical bytes spliced in
+    as they are: [Sink.to_string (put_request ~fingerprint body)] is
+    [put_line ~fingerprint (Sink.to_string body)].  The router's
+    replication, warming, hint and repair puts. *)
+
 val digest_request : ?bucket:int -> unit -> Bi_engine.Sink.json
 (** Rollup request, or one bucket's key→check map with [?bucket]. *)
 
@@ -126,9 +137,11 @@ val stats_request : Bi_engine.Sink.json
 val health_request : Bi_engine.Sink.json
 val shutdown_request : Bi_engine.Sink.json
 
-(** Response builders (server side).  Every answer shares one header —
-    ["ok"], the tier-qualified ["fingerprint"], ["cached"] — followed by
-    its tier's members; {!Tier} chooses the builder. *)
+(** Response builders.  Every answer shares one header — ["ok"], the
+    tier-qualified ["fingerprint"], ["cached"] — followed by its tier's
+    members.  The analysis answers below are the tree forms of the lines
+    the server writes: {!Tier.response} splices a cached body's bytes
+    under the same header, and renders the same bytes. *)
 
 val ok_answer :
   fingerprint:string ->
@@ -192,9 +205,9 @@ val ok_pulled :
   shard:string ->
   entries:Bi_cache.Store.entry list ->
   missing:string list ->
-  Bi_engine.Sink.json
-(** Pull response: the resident entries (key/kind/canonical body) and
-    the keys that were not resident. *)
+  string
+(** Pull response line: the resident entries (key/kind/canonical body,
+    the body's bytes spliced in) and the keys that were not resident. *)
 
 val rollup_of :
   Bi_engine.Sink.json -> ((int * string) list, string) result
@@ -230,6 +243,25 @@ val response_code : Bi_engine.Sink.json -> string option
 (** ["ok"] for successes, the failure ["code"] otherwise ("error" when
     a well-formed failure omits it); [None] when the object is not a
     recognizable response. *)
+
+(** A response line as the router relays it: read once, for the
+    members it acts on, and otherwise passed on as the bytes the shard
+    sent. *)
+type answer = {
+  line : string;  (** The line as received. *)
+  code : string option;  (** {!response_code} of the line. *)
+  cached : bool option;  (** Its ["cached"] member, when a boolean. *)
+  analysis : (int * int) option;
+      (** The byte span [\[start, stop)] of its ["analysis"] member's
+          value. *)
+}
+
+val scan_answer : string -> (answer, string) result
+(** One pass of {!Bi_engine.Sink.Lex} over a response line: it accepts
+    exactly the lines {!Bi_engine.Sink.of_string} accepts (the [Error]
+    is its message), reads the members as {!Bi_engine.Sink.member}
+    would (the first occurrence of each) and builds no tree for the
+    others. *)
 
 val retry_after_ms : Bi_engine.Sink.json -> int option
 (** The overload retry hint, when present and non-negative. *)

@@ -141,19 +141,20 @@ let release_slot t =
    nor an in-flight leader, and takes over the computation itself.
    The chaos compute delay runs inside the admission slot, so injected
    latency exercises the load-shedding path like real slow work.
-   [hit] is the tier's shape test ({!Tier.matches}): a cached value of
-   another shape reads as a miss rather than a crash. *)
-let compute t ~budget ~chaos_delay_ms ~key ~hit solve =
+   [kind] is the tier's entry kind ({!Tier.kind}): a cached entry of
+   another kind reads as a miss rather than a crash.  A hit is the
+   entry's bytes; a fresh value is rendered once, by [Service.add]. *)
+let compute t ~budget ~chaos_delay_ms ~key ~kind solve =
   Mutex.lock t.lock;
   let rec obtain ~waited =
-    match Service.find t.cache key with
-    | Some v when hit v ->
+    match Service.lookup t.cache key with
+    | Some e when String.equal e.Bi_cache.Store.kind kind ->
       (* A coalesced waiter is answered from the leader's fresh entry,
          so it counts as a hit as well. *)
       Metrics.incr t.metrics.hits;
       if waited then Metrics.incr t.metrics.coalesced;
       Mutex.unlock t.lock;
-      Ok (v, true)
+      Ok (e, true)
     | Some _ | None ->
       if Budget.expired budget then begin
         Mutex.unlock t.lock;
@@ -178,9 +179,7 @@ let compute t ~budget ~chaos_delay_ms ~key ~hit solve =
                 if Budget.expired budget then Error Deadline
                 else
                   match solve () with
-                  | Ok v ->
-                    Service.insert t.cache key v;
-                    Ok (v, false)
+                  | Ok v -> Ok (Service.add t.cache key v, false)
                   | Error _ as e -> e
                   | exception Budget.Expired -> Error Deadline
                   | exception Invalid_argument msg -> Error (Msg msg)
@@ -207,13 +206,13 @@ let budget_of t deadline_ms =
 let failure_response t = function
   | Overloaded hint ->
     Metrics.incr t.metrics.overloaded;
-    (Protocol.overloaded ~retry_after_ms:hint, `Continue)
+    (Sink.to_string (Protocol.overloaded ~retry_after_ms:hint), `Continue)
   | Deadline ->
     Metrics.incr t.metrics.deadline_exceeded;
-    (Protocol.deadline_exceeded, `Continue)
+    (Sink.to_string Protocol.deadline_exceeded, `Continue)
   | Msg e ->
     Metrics.incr t.metrics.errors;
-    (Protocol.error e, `Continue)
+    (Sink.to_string (Protocol.error e), `Continue)
 
 (* Answer one analysis request of a resolved tier: its key, its solver
    (run only by a miss's leader, which builds the game then) and its
@@ -225,9 +224,9 @@ let answer t ~budget ~chaos_delay_ms ~fingerprint tier build =
       (Tier.solve ?pool:t.pool ~budget ~verify:false tier)
     |> Result.map_error (fun e -> Msg e)
   in
-  let hit = Tier.matches tier in
-  match compute t ~budget ~chaos_delay_ms ~key ~hit solve with
-  | Ok (v, cached) -> (Tier.response tier ~fingerprint:key ~cached v, `Continue)
+  match compute t ~budget ~chaos_delay_ms ~key ~kind:(Tier.kind tier) solve with
+  | Ok (e, cached) ->
+    (Tier.response tier ~fingerprint:key ~cached e.Bi_cache.Store.body, `Continue)
   | Error f -> failure_response t f
 
 (* [auto] must build the game to count its valid profiles; the resolved
@@ -254,9 +253,7 @@ let handle_query t ~budget ~chaos_delay_ms query =
        built only if a solver needs it (a miss, or [auto] counting its
        profiles). *)
     match Fingerprint.of_construction name k with
-    | Error e ->
-      Metrics.incr t.metrics.errors;
-      (Protocol.error e, `Continue)
+    | Error e -> failure_response t (Msg e)
     | Ok fingerprint ->
       dispatch t ~budget ~chaos_delay_ms ~fingerprint ~mode ~concept (fun () ->
           Registry.build name k))
@@ -266,7 +263,7 @@ let handle_query t ~budget ~chaos_delay_ms query =
   | Protocol.Put { fingerprint; value } ->
     chaos_sleep chaos_delay_ms;
     Service.insert t.cache fingerprint value;
-    (Protocol.ok_stored ~fingerprint, `Continue)
+    (Sink.to_string (Protocol.ok_stored ~fingerprint), `Continue)
   (* [digest] and [pull] are the repair-path control verbs: cheap reads
      of the resident digest view, never shed, so anti-entropy and fsck
      keep converging replicas even while the solvers are saturated. *)
@@ -275,13 +272,13 @@ let handle_query t ~budget ~chaos_delay_ms query =
     let shard =
       Option.value (Service.stats t.cache).Service.shard ~default:"unnamed"
     in
-    (match bucket with
-    | None ->
-      ( Protocol.ok_digest ~shard ~rollup:(Service.digest_rollup t.cache),
-        `Continue )
-    | Some b ->
-      ( Protocol.ok_bucket ~shard ~bucket:b ~keys:(Service.bucket_keys t.cache b),
-        `Continue ))
+    let answer =
+      match bucket with
+      | None -> Protocol.ok_digest ~shard ~rollup:(Service.digest_rollup t.cache)
+      | Some b ->
+        Protocol.ok_bucket ~shard ~bucket:b ~keys:(Service.bucket_keys t.cache b)
+    in
+    (Sink.to_string answer, `Continue)
   | Protocol.Pull { keys } ->
     chaos_sleep chaos_delay_ms;
     let shard =
@@ -293,18 +290,20 @@ let handle_query t ~budget ~chaos_delay_ms query =
     chaos_sleep chaos_delay_ms;
     let stats = Service.stats t.cache in
     let shard = Option.value stats.Service.shard ~default:"unnamed" in
-    ( Protocol.ok_health ~shard ~inflight:(Metrics.level t.metrics.queue)
-        ~cache:(Service.stats_to_json stats),
+    ( Sink.to_string
+        (Protocol.ok_health ~shard ~inflight:(Metrics.level t.metrics.queue)
+           ~cache:(Service.stats_to_json stats)),
       `Continue )
   | Protocol.Stats ->
     chaos_sleep chaos_delay_ms;
-    ( Protocol.ok_stats
-        ~cache:(Service.stats_to_json (Service.stats t.cache))
-        ~server:(Metrics.to_json t.metrics.registry),
+    ( Sink.to_string
+        (Protocol.ok_stats
+           ~cache:(Service.stats_to_json (Service.stats t.cache))
+           ~server:(Metrics.to_json t.metrics.registry)),
       `Continue )
   | Protocol.Shutdown ->
     chaos_sleep chaos_delay_ms;
-    (Protocol.ok_shutdown, `Stop)
+    (Sink.to_string Protocol.ok_shutdown, `Stop)
 
 let handle_line t ~chaos_delay_ms line =
   Metrics.incr t.metrics.requests;
@@ -312,19 +311,13 @@ let handle_line t ~chaos_delay_ms line =
   let t0 = Clock.now_ns () in
   let response, disposition =
     match Protocol.parse_request line with
-    | Error e ->
-      Metrics.incr t.metrics.errors;
-      (Protocol.error e, `Continue)
+    | Error e -> failure_response t (Msg e)
     | Ok { Protocol.query; deadline_ms } -> (
       let budget = budget_of t deadline_ms in
       match handle_query t ~budget ~chaos_delay_ms query with
       | r -> r
-      | exception Budget.Expired ->
-        Metrics.incr t.metrics.deadline_exceeded;
-        (Protocol.deadline_exceeded, `Continue)
-      | exception exn ->
-        Metrics.incr t.metrics.errors;
-        (Protocol.error (Printexc.to_string exn), `Continue))
+      | exception Budget.Expired -> failure_response t Deadline
+      | exception exn -> failure_response t (Msg (Printexc.to_string exn)))
   in
   Metrics.leave t.metrics.queue;
   Metrics.observe t.metrics.latency ~ns:(Clock.now_ns () - t0);
@@ -344,20 +337,19 @@ let answer_line t oc line =
     handle_line t ~chaos_delay_ms:action.Chaos.delay_ms line
   in
   let alive =
-    let s = Sink.to_string response in
     match action.Chaos.transport with
     | `Drop -> false
     | `Truncate ->
       (* A torn write: half the line, no newline, then hang up —
          the same wreckage a crash mid-response leaves. *)
       (try
-         output_string oc (String.sub s 0 (String.length s / 2));
+         output_string oc (String.sub response 0 (String.length response / 2));
          flush oc
        with Sys_error _ -> ());
       false
     | `Deliver -> (
       try
-        output_string oc s;
+        output_string oc response;
         output_char oc '\n';
         flush oc;
         true

@@ -60,27 +60,33 @@ let solve ?pool ?budget ~verify t game =
       (verified ~verify "correlated certificate rejected: " (fun () ->
            Correlated.check game report))
 
-let matches t value =
-  match (t, value) with
-  | Exhaustive, Service.Analysis _ -> true
-  | Exhaustive, Service.Payload _ -> false
-  | (Certified | Correlated _), Service.Payload _ -> true
-  | (Certified | Correlated _), Service.Analysis _ -> false
+let kind = function Exhaustive -> "analysis" | Certified | Correlated _ -> "payload"
 
-let response t ~fingerprint ~cached value =
-  match (t, value) with
-  | Exhaustive, Service.Analysis a ->
-    Protocol.ok_analysis ~fingerprint ~cached a
-  | Certified, Service.Payload p -> Protocol.ok_certified ~fingerprint ~cached p
-  | Correlated concept, Service.Payload p ->
-    Protocol.ok_correlated ~fingerprint ~cached ~concept p
-  | _ -> invalid_arg "Tier.response: the value belongs to another tier"
+(* The members between the shared header and the body, as
+   [Protocol.ok_analysis], [ok_certified] and [ok_correlated] render
+   them. *)
+let analysis_member = {|,"analysis":|}
+
+let certified_member =
+  {|,"mode":|} ^ Sink.quote (Mode.to_string Mode.Certified) ^ {|,"certified":|}
+
+let correlated_member concept =
+  {|,"concept":|} ^ Sink.quote (Concept.to_string concept) ^ {|,"correlated":|}
+
+let response t ~fingerprint ~cached body =
+  String.concat ""
+    [
+      {|{"ok":true,"fingerprint":|};
+      Sink.quote fingerprint;
+      (if cached then {|,"cached":true|} else {|,"cached":false|});
+      (match t with
+      | Exhaustive -> analysis_member
+      | Certified -> certified_member
+      | Correlated concept -> correlated_member concept);
+      body;
+      "}";
+    ]
 
 let front_cacheable = function
   | Known Exhaustive -> true
   | Known (Certified | Correlated _) | Auto -> false
-
-let front_body answer = Sink.member "analysis" answer
-
-let front_hit ~fingerprint body =
-  Protocol.ok_answer ~fingerprint ~cached:true [ ("analysis", body) ]

@@ -58,29 +58,23 @@ val solve :
     naming it; without it the result is always [Ok].  The budget's
     {!Bi_engine.Budget.Expired} escapes. *)
 
-val matches : t -> Bi_cache.Service.value -> bool
-(** Whether a cached value has the tier's shape, so counts as a hit: an
-    analysis for [Exhaustive], a payload otherwise.  A [put] can store
-    either kind under any key; a mismatch reads as a miss. *)
+val kind : t -> string
+(** The {!Bi_cache.Store.entry} kind of the tier's value: ["analysis"]
+    for [Exhaustive], ["payload"] otherwise.  A cached entry of another
+    kind reads as a miss (a [put] can store either kind under any
+    key). *)
 
-val response :
-  t -> fingerprint:string -> cached:bool -> Bi_cache.Service.value ->
-  Bi_engine.Sink.json
-(** The answer: {!Protocol.ok_analysis}, {!Protocol.ok_certified} or
-    {!Protocol.ok_correlated}.
-    @raise Invalid_argument when [matches] is false. *)
+val response : t -> fingerprint:string -> cached:bool -> string -> string
+(** The answer line for a body's canonical bytes, for a hit or a fresh
+    answer alike: the shared header ([ok], the tier-qualified
+    [fingerprint], [cached]), the tier's member and the bytes spliced in
+    as they are.  It is the {!Bi_engine.Sink.to_string} of
+    {!Protocol.ok_analysis}, {!Protocol.ok_certified} or
+    {!Protocol.ok_correlated} on the decoded value.  A router's
+    front-cache hit is [response Exhaustive ~cached:true]. *)
 
 val front_cacheable : request -> bool
 (** Whether a router may front-cache and replicate the answer: only a
     tier known before the game is built whose value is an analysis,
     that is [Known Exhaustive].  Every other answer, [Auto]'s included,
     is forwarded untouched. *)
-
-val front_body : Bi_engine.Sink.json -> Bi_engine.Sink.json option
-(** The part of a front-cacheable shard answer a router caches and
-    replicates: its encoded analysis. *)
-
-val front_hit :
-  fingerprint:string -> Bi_engine.Sink.json -> Bi_engine.Sink.json
-(** A router's answer from its front cache: the {!front_body} under the
-    same header as a shard's cached answer. *)

@@ -233,7 +233,7 @@ let prop_game_roundtrip =
     gen_description
     (fun d ->
       let graph, prior = build d in
-      match Codec.game_of_json (Codec.game_to_json graph ~prior) with
+      match Game_oracle.decode (Sink.to_string (Codec.game_to_json graph ~prior)) with
       | Error _ -> false
       | Ok (graph', prior') ->
         Fingerprint.game graph ~prior = Fingerprint.game graph' ~prior:prior')
@@ -241,7 +241,7 @@ let prop_game_roundtrip =
 let test_game_of_json_rejects () =
   List.iter
     (fun s ->
-      match Result.bind (Sink.of_string s) Codec.game_of_json with
+      match Game_oracle.decode s with
       | Ok _ -> Alcotest.failf "accepted invalid description %s" s
       | Error _ -> ())
     [
@@ -313,9 +313,9 @@ let test_store_roundtrip_and_corruption () =
   let store = Store.open_append path in
   let entries =
     [
-      { Store.key = "k1"; kind = "payload"; body = Sink.Str "v1" };
-      { Store.key = "k2"; kind = "analysis"; body = Sink.Obj [ ("x", Sink.Int 1) ] };
-      { Store.key = "k1"; kind = "payload"; body = Sink.Str "v1-superseded" };
+      Store.entry ~key:"k1" ~kind:"payload" (Sink.to_string (Sink.Str "v1"));
+      Store.entry ~key:"k2" ~kind:"analysis" (Sink.to_string (Sink.Obj [ ("x", Sink.Int 1) ]));
+      Store.entry ~key:"k1" ~kind:"payload" (Sink.to_string (Sink.Str "v1-superseded"));
     ]
   in
   List.iter (Store.append store) entries;
@@ -383,10 +383,10 @@ let test_store_compact () =
   let store = Store.open_append path in
   List.iter (Store.append store)
     [
-      { Store.key = "a"; kind = "payload"; body = Sink.Int 1 };
-      { Store.key = "b"; kind = "payload"; body = Sink.Int 2 };
-      { Store.key = "a"; kind = "payload"; body = Sink.Int 3 };
-      { Store.key = "a"; kind = "payload"; body = Sink.Int 4 };
+      Store.entry ~key:"a" ~kind:"payload" (Sink.to_string (Sink.Int 1));
+      Store.entry ~key:"b" ~kind:"payload" (Sink.to_string (Sink.Int 2));
+      Store.entry ~key:"a" ~kind:"payload" (Sink.to_string (Sink.Int 3));
+      Store.entry ~key:"a" ~kind:"payload" (Sink.to_string (Sink.Int 4));
     ]
   ;
   Store.close store;
@@ -404,7 +404,7 @@ let test_store_compact () =
   Alcotest.(check int) "one entry per key" 2 (List.length replayed);
   Alcotest.(check bool) "latest value wins" true
     (List.exists
-       (fun e -> e.Store.key = "a" && e.Store.body = Sink.Int 4)
+       (fun e -> e.Store.key = "a" && e.Store.body = "4")
        replayed);
   (* The quarantine sidecar holds the rejected lines verbatim. *)
   let rej = read_lines (Store.rej_path path) in
@@ -609,7 +609,7 @@ let test_store_rej_sidecar_dedupe () =
     close_out oc
   in
   let store = Store.open_append path in
-  Store.append store { Store.key = "a"; kind = "payload"; body = Sink.Int 1 };
+  Store.append store (Store.entry ~key:"a" ~kind:"payload" (Sink.to_string (Sink.Int 1)));
   Store.close store;
   append_lines [ "garbage one"; "garbage two" ];
   ignore (Store.compact path);
@@ -655,6 +655,65 @@ let qtests =
       prop_game_roundtrip;
     ]
 
+(* --- store golden fixture ------------------------------------------------
+
+   fixtures/store_golden.jsonl was written by the cache as it stood
+   before it held bytes: an exhaustive, a certified and a cce entry, then
+   two payload puts under a key that needs JSON escaping (the first one
+   superseded).  Replayed through [Service.create], each key's cached
+   answer, the pull of every key, the digest rollup and the compacted
+   file match the goldens written alongside it, byte for byte. *)
+
+module Tier = Bi_serve.Tier
+module Protocol = Bi_serve.Protocol
+
+let golden_keys =
+  [
+    (Tier.Exhaustive, "bc50b2156f47a22522bf2bda2b36d25c");
+    (Tier.Certified, "47feed0829f41cb14d9f5fb7087bba97+certified");
+    (Tier.Correlated Bi_correlated.Concept.Cce, "d5bc03b8b12c553d0cbf89282e2f917c+cce");
+    (Tier.Certified, "put \"quoted\"\\key\twith/tab+certified");
+  ]
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let fixture name =
+  Filename.concat (Filename.concat (Filename.dirname Sys.executable_name) "fixtures") name
+
+let copy_fixture name =
+  let path = Filename.temp_file "bi_golden" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (read_file (fixture name)));
+  path
+
+let test_store_golden () =
+  let path = copy_fixture "store_golden.jsonl" in
+  let svc = Service.create ~store_path:path ~auto_compact:false ~shard:"golden" () in
+  Alcotest.(check int) "every line replays" 5 (Service.stats svc).Service.loaded;
+  let answers =
+    List.map
+      (fun (tier, key) ->
+        match Service.lookup svc key with
+        | Some e -> Tier.response tier ~fingerprint:key ~cached:true e.Store.body
+        | None -> Alcotest.failf "%S not replayed" key)
+      golden_keys
+  in
+  let entries, missing = Service.pull svc (List.map snd golden_keys @ [ "absent" ]) in
+  let pulled = Protocol.ok_pulled ~shard:"golden" ~entries ~missing in
+  let digest =
+    Sink.to_string (Protocol.ok_digest ~shard:"golden" ~rollup:(Service.digest_rollup svc))
+  in
+  Service.close svc;
+  Alcotest.(check (list string)) "answers, pull and digest"
+    (String.split_on_char '\n' (String.trim (read_file (fixture "store_golden.expected"))))
+    (answers @ [ pulled; digest ]);
+  Sys.remove path;
+  let path = copy_fixture "store_golden.jsonl" in
+  let c = Store.compact path in
+  Alcotest.(check int) "one superseded" 1 c.Store.superseded;
+  Alcotest.(check string) "compacted file"
+    (read_file (fixture "store_golden.compacted")) (read_file path);
+  Sys.remove path
+
 let () =
   Alcotest.run "bi_cache"
     [
@@ -692,6 +751,8 @@ let () =
             test_store_compact;
           Alcotest.test_case "rej sidecar deduplicates" `Quick
             test_store_rej_sidecar_dedupe;
+          Alcotest.test_case "golden fixture replays byte for byte" `Quick
+            test_store_golden;
         ] );
       ( "digest",
         [

@@ -221,17 +221,17 @@ let parse_members_dedupes =
 let test_hints_log () =
   let h = Hints.create ~capacity:2 () in
   Alcotest.(check int) "empty" 0 (Hints.pending h);
-  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.Int 1));
-  ignore (Hints.record h ~member:"b" ~fingerprint:"k2" ~kind:"payload" (Sink.Int 2));
+  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.to_string (Sink.Int 1)));
+  ignore (Hints.record h ~member:"b" ~fingerprint:"k2" ~kind:"payload" (Sink.to_string (Sink.Int 2)));
   Alcotest.(check int) "two parked" 2 (Hints.pending h);
   Alcotest.(check (list string)) "members, oldest hint first" [ "a"; "b" ]
     (Hints.members h);
   (* A newer write to the same (member, key) supersedes in place. *)
-  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.Int 3));
+  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.to_string (Sink.Int 3)));
   Alcotest.(check int) "superseded, not duplicated" 2 (Hints.pending h);
   (* At capacity the oldest hint (a's) is evicted to make room. *)
   let evicted =
-    Hints.record h ~member:"b" ~fingerprint:"k3" ~kind:"analysis" (Sink.Int 4)
+    Hints.record h ~member:"b" ~fingerprint:"k3" ~kind:"analysis" (Sink.to_string (Sink.Int 4))
   in
   Alcotest.(check int) "one evicted" 1 evicted;
   Alcotest.(check int) "bounded" 2 (Hints.pending h);
@@ -250,9 +250,9 @@ let test_hints_log () =
 let test_hints_durability () =
   let path = Filename.temp_file "bi_hints" ".jsonl" in
   let h = Hints.create ~path () in
-  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.Int 1));
-  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.Int 2));
-  ignore (Hints.record h ~member:"b" ~fingerprint:"k2" ~kind:"payload" (Sink.Str "x"));
+  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.to_string (Sink.Int 1)));
+  ignore (Hints.record h ~member:"a" ~fingerprint:"k1" ~kind:"analysis" (Sink.to_string (Sink.Int 2)));
+  ignore (Hints.record h ~member:"b" ~fingerprint:"k2" ~kind:"payload" (Sink.to_string (Sink.Str "x")));
   ignore (Hints.take h "b");
   Hints.close h;
   (* A restarted router replays exactly the outstanding hints: the
@@ -263,7 +263,7 @@ let test_hints_durability () =
   | [ hint ] ->
     Alcotest.(check string) "fingerprint" "k1" hint.Hints.fingerprint;
     Alcotest.(check string) "superseding body wins" "2"
-      (Sink.to_string hint.Hints.body)
+      hint.Hints.body
   | l -> Alcotest.failf "expected one replayed hint, got %d" (List.length l));
   Hints.close h;
   Sys.remove path
@@ -838,7 +838,7 @@ let test_recovery_drains_hints () =
         with
         | Ok resp when Protocol.is_ok resp -> (
           match Protocol.entries_of resp with
-          | Ok [ e ] -> Sink.to_string e.Store.body = expected_bytes
+          | Ok [ e ] -> e.Store.body = expected_bytes
           | _ -> false)
         | _ -> false
       in
@@ -1034,9 +1034,12 @@ let test_router_forwards_verbatim () =
 (* --- persistent links ---------------------------------------------------- *)
 
 (* A stand-in shard: a plain Unix listener, one thread per connection,
-   that answers every line with [{"ok":true}] and logs, per accepted
-   connection, the lines it read and whether it then read EOF. *)
+   that answers every line with [reply] (by default [{"ok":true}]) and
+   logs, per accepted connection, the lines it read and whether it then
+   read EOF.  A [Torn] reply is written without its newline and the
+   connection closed, as a shard that crashed mid-answer leaves it. *)
 type fake_conn = { mutable lines : string list; mutable eof : bool }
+type reply = Line of string | Torn of string
 
 type fake = {
   path : string;
@@ -1047,7 +1050,7 @@ type fake = {
   mutable accept_th : Thread.t option;
 }
 
-let start_fake path =
+let start_fake ?(reply = fun _ -> Line {|{"ok":true}|}) path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX path);
   Unix.listen fd 16;
@@ -1067,11 +1070,17 @@ let start_fake path =
       match input_line ic with
       | exception (End_of_file | Sys_error _) ->
         logged (fun () -> conn.eof <- true)
-      | line ->
+      | line -> (
         logged (fun () -> conn.lines <- line :: conn.lines);
-        output_string oc "{\"ok\":true}\n";
-        flush oc;
-        loop ()
+        match reply line with
+        | Line answer ->
+          output_string oc answer;
+          output_char oc '\n';
+          flush oc;
+          loop ()
+        | Torn answer ->
+          output_string oc answer;
+          flush oc)
     in
     (try loop () with Sys_error _ -> ());
     Unix.close cfd
@@ -1288,6 +1297,222 @@ let test_shutdown_closes_links () =
           Mutex.unlock fake.lock;
           all))
 
+(* --- relayed bytes ------------------------------------------------------ *)
+
+(* Two scripted members behind a quiet router.  [primary] and
+   [secondary] are a key's owners in ring order; each answers health
+   probes and otherwise as [script] says for it, set per test case. *)
+type scripted = {
+  router : Client.t;
+  owners : string -> string * string;
+  script : (string, string -> reply) Hashtbl.t;
+  fakes : fake list;
+}
+
+let with_scripted f =
+  let dir = fresh_dir "bi_relay" in
+  let script = Hashtbl.create 2 and lock = Mutex.create () in
+  let reply_of path line =
+    if is_health line then Line {|{"ok":true}|}
+    else begin
+      Mutex.lock lock;
+      let r = Hashtbl.find_opt script path in
+      Mutex.unlock lock;
+      match r with Some r -> r line | None -> Line {|{"ok":true}|}
+    end
+  in
+  let fakes =
+    List.map
+      (fun name ->
+        let path = Filename.concat dir name in
+        start_fake ~reply:(reply_of path) path)
+      [ "a.sock"; "b.sock" ]
+  in
+  let members = List.map (fun fk -> fk.path) fakes in
+  let router_sock, th_router, c = start_quiet_router ~dir ~members in
+  let ring = Ring.create ~vnodes:Router.default_config.vnodes members in
+  let owners key =
+    match Ring.owners ring ~n:2 key with
+    | [ p; s ] -> (p, s)
+    | _ -> Alcotest.fail "expected two owners"
+  in
+  let set path r =
+    Mutex.lock lock;
+    Hashtbl.replace script path r;
+    Mutex.unlock lock
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      stop_endpoint router_sock;
+      Thread.join th_router;
+      List.iter stop_fake fakes)
+    (fun () -> f { router = c; owners; script; fakes } set)
+
+let exhaustive_key name k =
+  match Bi_cache.Fingerprint.of_construction name k with
+  | Ok fp -> fp
+  | Error e -> Alcotest.fail e
+
+let analysis_body name k =
+  match Bi_constructions.Registry.build name k with
+  | Ok g -> Bi_cache.Codec.analysis_to_json (Bi_ncs.Bayesian_ncs.analyze g)
+  | Error e -> Alcotest.fail e
+
+let raw_request c line =
+  match Client.raw_request c line with
+  | Ok answer -> answer
+  | Error f -> Alcotest.fail (Client.failure_to_string f)
+
+let construction_line name k =
+  Sink.to_string (Protocol.construction_request ~name ~k ())
+
+(* The same answer as a shard might word it: members reversed and
+   whitespace between every token. *)
+let reworded answer =
+  let rec spaced = function
+    | Sink.Obj fields ->
+      " { "
+      ^ String.concat " , "
+          (List.rev_map (fun (k, v) -> Sink.quote k ^ " :\t" ^ spaced v) fields)
+      ^ " } "
+    | Sink.List items -> " [ " ^ String.concat " , " (List.map spaced items) ^ " ] "
+    | v -> " " ^ Sink.to_string v ^ " "
+  in
+  spaced answer
+
+(* A garbage line, or a line torn by a crash, from the primary moves the
+   forward to the replica, as any transport failure does. *)
+let test_relay_bad_line_fails_over () =
+  with_scripted (fun t set ->
+      List.iteri
+        (fun i bad ->
+          let k = 2 + i in
+          let primary, secondary = t.owners (exhaustive_key "gworst-bliss" k) in
+          let good =
+            Sink.to_string
+              (Protocol.ok_answer ~fingerprint:(exhaustive_key "gworst-bliss" k)
+                 ~cached:true [ ("analysis", analysis_body "gworst-bliss" k) ])
+          in
+          set primary (fun _ -> bad);
+          set secondary (fun _ -> Line good);
+          let before = counter (request_ok t.router Protocol.stats_request) "failovers" in
+          Alcotest.(check string) "the replica's answer" good
+            (raw_request t.router (construction_line "gworst-bliss" k));
+          Alcotest.(check int) "one failover" (before + 1)
+            (counter (request_ok t.router Protocol.stats_request) "failovers"))
+        [ Line "not json {"; Torn {|{"ok":true,"fingerprint":"|} ])
+
+(* Each verdict is handled the same in a shard's canonical wording and
+   in a reworded one: [ok] is relayed and front-cached, [overloaded]
+   fails over, [error] and [deadline_exceeded] are final. *)
+let test_relay_reworded_answers () =
+  with_scripted (fun t set ->
+      let stats () = request_ok t.router Protocol.stats_request in
+      let outcome ~k ~word verdict =
+        let fingerprint = exhaustive_key "gworst-curse" k in
+        let primary, secondary = t.owners fingerprint in
+        let answer =
+          match verdict with
+          | "ok" ->
+            Protocol.ok_answer ~fingerprint ~cached:true
+              [ ("analysis", analysis_body "gworst-curse" k) ]
+          | "overloaded" -> Protocol.overloaded ~retry_after_ms:5
+          | "error" -> Protocol.error "no"
+          | _ -> Protocol.deadline_exceeded
+        in
+        let fallback = Protocol.error "from the replica" in
+        set primary (fun _ -> Line (word answer));
+        set secondary (fun _ -> Line (Sink.to_string fallback));
+        let s0 = stats () in
+        let first = raw_request t.router (construction_line "gworst-curse" k) in
+        let second = raw_request t.router (construction_line "gworst-curse" k) in
+        let s1 = stats () in
+        let delta key = counter s1 key - counter s0 key in
+        ( Sink.of_string first,
+          Sink.of_string second,
+          delta "failovers",
+          delta "front_hits",
+          delta "forwards" )
+      in
+      List.iteri
+        (fun i verdict ->
+          let canonical = outcome ~k:(2 + (2 * i)) ~word:Sink.to_string verdict in
+          let other = outcome ~k:(3 + (2 * i)) ~word:reworded verdict in
+          let strip (a, b, f, h, w) =
+            (* The fingerprints and analyses differ with k, and a
+               reworded answer lists its members in another order:
+               compare the other members as sets. *)
+            let drop = function
+              | Ok (Sink.Obj fields) ->
+                Ok
+                  (Sink.Obj
+                     (List.sort compare
+                        (List.filter
+                           (fun (key, _) -> key <> "fingerprint" && key <> "analysis")
+                           fields)))
+              | j -> j
+            in
+            (drop a, drop b, f, h, w)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: same handling" verdict)
+            true
+            (strip canonical = strip other))
+        [ "ok"; "overloaded"; "error"; "deadline_exceeded" ];
+      (* And the handling itself, on the reworded forms. *)
+      let _, _, failovers, front_hits, _ = outcome ~k:4 ~word:reworded "ok" in
+      Alcotest.(check (pair int int)) "ok: relayed, then a front hit" (0, 1)
+        (failovers, front_hits))
+
+(* A fresh answer is replicated to the other owner, however the shard
+   words it; and every byte the router writes from a canonical answer is
+   the tree rendering it used to write: the forwarded answer, the front
+   hit and the replication put. *)
+let test_relay_bytes_match_trees () =
+  with_scripted (fun t set ->
+      List.iter
+        (fun (k, canonical) ->
+          let fingerprint = exhaustive_key "anshelevich" k in
+          let primary, secondary = t.owners fingerprint in
+          let body = analysis_body "anshelevich" k in
+          let fresh =
+            Sink.Obj
+              [ ("analysis", body); ("fingerprint", Sink.Str fingerprint);
+                ("ok", Sink.Bool true); ("cached", Sink.Bool false) ]
+          in
+          let puts = ref [] and lock = Mutex.create () in
+          set primary (fun _ ->
+              Line (if canonical then Sink.to_string fresh else reworded fresh));
+          set secondary (fun line ->
+              Mutex.lock lock;
+              puts := line :: !puts;
+              Mutex.unlock lock;
+              Line (Sink.to_string (Protocol.ok_stored ~fingerprint)));
+          let s0 = request_ok t.router Protocol.stats_request in
+          let forwarded = raw_request t.router (construction_line "anshelevich" k) in
+          let front_hit = raw_request t.router (construction_line "anshelevich" k) in
+          let s1 = request_ok t.router Protocol.stats_request in
+          let delta key = counter s1 key - counter s0 key in
+          Alcotest.(check int) "replicated to the other owner" 1 (delta "replications");
+          Alcotest.(check int) "quorum met" 0 (delta "quorum_failures");
+          Alcotest.(check int) "then a front hit" 1 (delta "front_hits");
+          if canonical then begin
+            Mutex.lock lock;
+            let seen = !puts in
+            Mutex.unlock lock;
+            Alcotest.(check (list string)) "the put is the tree's rendering"
+              [ Sink.to_string (Protocol.put_request ~fingerprint body) ]
+              seen;
+            Alcotest.(check string) "the front hit is the tree's rendering"
+              (Sink.to_string
+                 (Protocol.ok_answer ~fingerprint ~cached:true [ ("analysis", body) ]))
+              front_hit;
+            Alcotest.(check string) "the forwarded answer is the shard's bytes"
+              (Sink.to_string fresh) forwarded
+          end)
+        [ (2, true); (3, false) ])
+
 (* The member names and order of the [server] and [router] objects, in
    [stats] and in both metrics dumps, are read by the benchmark, CI and
    [bi chaos --cluster]: they are pinned here.  The router's latency
@@ -1467,5 +1692,14 @@ let () =
             test_dead_owner_fails_over;
           Alcotest.test_case "shutdown closes every link" `Quick
             test_shutdown_closes_links;
+        ] );
+      ( "relay",
+        [
+          Alcotest.test_case "a garbage or torn shard line fails over" `Quick
+            test_relay_bad_line_fails_over;
+          Alcotest.test_case "reworded answers are handled as canonical ones"
+            `Quick test_relay_reworded_answers;
+          Alcotest.test_case "relayed bytes equal the tree renderings" `Quick
+            test_relay_bytes_match_trees;
         ] );
     ]

@@ -1090,7 +1090,7 @@ let test_digest_pull_end_to_end () =
         Alcotest.(check string) "key" "payload-key" e.Store.key;
         Alcotest.(check string) "kind" "payload" e.Store.kind;
         Alcotest.(check string) "body verbatim" (Sink.to_string payload)
-          (Sink.to_string e.Store.body)
+          e.Store.body
       | Ok _ -> Alcotest.fail "expected exactly the payload entry");
       (* The pulled analysis entry re-puts cleanly: the repair loop's
          pull -> put cycle is lossless. *)
@@ -1101,8 +1101,10 @@ let test_digest_pull_end_to_end () =
       | Ok [ e ] ->
         let stored =
           request_ok c
-            (Protocol.put_request ~kind:e.Store.kind ~fingerprint:e.Store.key
-               e.Store.body)
+            (Result.get_ok
+               (Sink.of_string
+                  (Protocol.put_line ~kind:e.Store.kind ~fingerprint:e.Store.key
+                     e.Store.body)))
         in
         Alcotest.(check (option bool)) "re-put accepted" (Some true)
           (get_bool "stored" stored)

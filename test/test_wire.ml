@@ -780,6 +780,252 @@ let codec_law =
       in
       expected = actual)
 
+(* --- the byte path ----------------------------------------------------
+
+   Answers, store lines and replication puts are spliced from stored
+   bytes; inline games and shard answers are read without building a
+   tree.  Each is held to the tree rendering or the tree reading it
+   replaced. *)
+
+module Tier = Bi_serve.Tier
+module Service = Bi_cache.Service
+module Store = Bi_cache.Store
+module Concept = Bi_correlated.Concept
+
+(* The tree answer each tier rendered before answers were spliced. *)
+let tree_response tier ~fingerprint ~cached value =
+  match (tier, value) with
+  | Tier.Exhaustive, Service.Analysis a -> Protocol.ok_analysis ~fingerprint ~cached a
+  | Tier.Certified, Service.Payload p -> Protocol.ok_certified ~fingerprint ~cached p
+  | Tier.Correlated concept, Service.Payload p ->
+    Protocol.ok_correlated ~fingerprint ~cached ~concept p
+  | _ -> invalid_arg "tree_response"
+
+let tree_body = function
+  | Service.Analysis a -> Codec.analysis_to_json a
+  | Service.Payload p -> p
+
+let tree_store_line ~key ~kind body =
+  Sink.to_string
+    (Sink.Obj
+       [
+         ("record", Sink.Str "entry"); ("key", Sink.Str key); ("kind", Sink.Str kind);
+         ("check", Sink.Str (Fingerprint.digest_hex (Sink.to_string body)));
+         ("body", body);
+       ])
+
+(* Analyses and certified brackets of the paper's families, solved once;
+   every payload tier also takes random JSON (escapes, nesting), since
+   splicing never looks inside a body. *)
+let solved =
+  lazy
+    (List.concat_map
+       (fun (name, k) ->
+         let game = Result.get_ok (Bi_constructions.Registry.build name k) in
+         List.map
+           (fun tier -> (tier, Result.get_ok (Tier.solve ~verify:false tier game)))
+           [ Tier.Exhaustive; Tier.Certified ])
+       [ ("gworst-bliss", 2); ("gworst-curse", 3); ("anshelevich", 3); ("affine", 2) ])
+
+let splice_law =
+  QCheck2.Test.make ~name:"spliced answers, store lines and puts = tree renderings"
+    ~count:200
+    ~print:(fun (key, _, payload) ->
+      Printf.sprintf "key %S, payload %s" key (Sink.to_string payload))
+    QCheck2.Gen.(triple gen_key bool gen_json)
+    (fun (key, cached, payload) ->
+      List.for_all
+        (fun (tier, value) ->
+          let service = Service.create () in
+          let entry = Service.add service key value in
+          let body = tree_body value in
+          String.equal
+            (Tier.response tier ~fingerprint:key ~cached entry.Store.body)
+            (Sink.to_string (tree_response tier ~fingerprint:key ~cached value))
+          && String.equal (Store.entry_to_line entry)
+               (tree_store_line ~key ~kind:(Tier.kind tier) body)
+          && String.equal
+               (Protocol.put_line ~kind:(Tier.kind tier) ~fingerprint:key entry.Store.body)
+               (Sink.to_string
+                  (Protocol.put_request ~kind:(Tier.kind tier) ~fingerprint:key body))
+          && Option.map tree_body (Service.find service key)
+             = Result.to_option (Sink.of_string (Sink.to_string body)))
+        (Lazy.force solved
+        @ List.map
+            (fun tier -> (tier, Service.Payload payload))
+            [ Tier.Certified; Tier.Correlated Concept.Cce; Tier.Correlated Concept.Comm ]))
+
+(* Inline games perturbed as trees: members dropped, duplicated with
+   another value, reordered or added, and any value replaced by one of
+   another shape, at a rate drawn per line (zero keeps the game valid);
+   then rendered with random whitespace and, for some lines, byte
+   edits. *)
+let perturb ~rate next =
+  let other () =
+    match next 9 with
+    | 0 -> Sink.Null
+    | 1 -> Sink.Bool true
+    | 2 -> Sink.Int (next 12 - 4)
+    | 3 -> Sink.Float 1.5
+    | 4 -> Sink.Str "x"
+    | 5 -> Sink.Str (Printf.sprintf "%d/%d" (next 5 - 1) (next 3))
+    | 6 -> Sink.List [ Sink.Int (next 4); Sink.Int (next 4) ]
+    | 7 -> Sink.List []
+    | _ -> Sink.Obj [ ("types", Sink.List []) ]
+  in
+  let hit () = rate > 0 && next rate = 0 in
+  let rec go j =
+    if hit () then other ()
+    else
+      match j with
+      | Sink.Obj fields ->
+        let fields = List.map (fun (k, v) -> (k, go v)) fields in
+        Sink.Obj
+          (if not (hit ()) then fields
+           else
+             match (next 4, fields) with
+             | 0, _ :: rest -> rest
+             | 1, (k, _) :: _ -> fields @ [ (k, other ()) ]
+             | 2, _ -> List.rev fields
+             | _ -> ("extra", other ()) :: fields)
+      | Sink.List items ->
+        let items = List.map go items in
+        Sink.List
+          (if not (hit ()) then items
+           else match items with _ :: rest when next 2 = 0 -> rest | _ -> items @ [ other () ])
+      | v -> v
+  in
+  go
+
+let gen_analyze_line =
+  QCheck2.Gen.(
+    map
+      (fun (seed, rate, spaced, edits) ->
+        let d = Random_games.description seed in
+        let graph = Graph.make d.Random_games.kind ~n:d.Random_games.n d.Random_games.edges in
+        let game = Codec.game_to_json graph ~prior:d.Random_games.prior in
+        let next = lcg seed in
+        let game = perturb ~rate next game in
+        let line = Sink.to_string (Protocol.analyze_game_request game) in
+        let line =
+          if not spaced then line
+          else
+            (* The same random whitespace as the parser laws. *)
+            String.concat ""
+              (List.map
+                 (fun c -> if c = ',' && next 3 = 0 then ",\n\t " else String.make 1 c)
+                 (List.init (String.length line) (String.get line)))
+        in
+        List.fold_left apply_edit line edits)
+      (quad (int_bound 100_000) (oneofl [ 0; 0; 40; 12; 4 ]) bool
+         (frequency [ (3, pure []); (1, list_size (1 -- 2) gen_edit) ])))
+
+(* The line read whole by [Sink.of_string] and its game by the oracle
+   tree walk; [None] when a byte edit left something other than a plain
+   [analyze] line. *)
+let oracle_request line =
+  match Sink.of_string line with
+  | Error e -> Some (Error ("invalid JSON: " ^ e))
+  | Ok j -> (
+    let plain =
+      match j with
+      | Sink.Obj fields ->
+        Sink.member "op" j = Some (Sink.Str "analyze")
+        && List.for_all (fun (k, _) -> k = "op" || k = "game") fields
+      | _ -> false
+    in
+    if not plain then None
+    else
+      match Sink.member "game" j with
+      | None -> Some (Error "analyze: missing \"game\"")
+      | Some g -> Some (Result.map_error (( ^ ) "analyze: ") (Game_oracle.game_of_json g)))
+
+let same_game (g1, p1) (g2, p2) =
+  Graph.kind g1 = Graph.kind g2
+  && Graph.n_vertices g1 = Graph.n_vertices g2
+  && List.equal
+       (fun (a : Graph.edge) (b : Graph.edge) ->
+         a.Graph.src = b.Graph.src && a.Graph.dst = b.Graph.dst
+         && Rat.equal a.Graph.cost b.Graph.cost)
+       (Graph.edges g1) (Graph.edges g2)
+  && Fingerprint.game g1 ~prior:p1 = Fingerprint.game g2 ~prior:p2
+
+let decoder_law =
+  QCheck2.Test.make ~name:"inline-game decoder = tree-walk oracle" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_analyze_line (fun line ->
+      match (oracle_request line, Protocol.parse_request line) with
+      | None, _ -> true
+      | Some (Error a), Error b -> String.equal a b
+      | Some (Ok g), Ok { Protocol.query = Protocol.Analyze { graph; prior; _ }; _ } ->
+        same_game g (graph, prior)
+      | Some expected, actual ->
+        QCheck2.Test.fail_reportf "oracle %s, decoder %s"
+          (match expected with Ok _ -> "Ok" | Error e -> "Error " ^ e)
+          (match actual with Ok _ -> "Ok" | Error e -> "Error " ^ e))
+
+(* Answer-shaped objects: the members the router reads, under duplicate
+   keys, in any order, with values of any shape; random whitespace;
+   some truncated or edited. *)
+let gen_answer_line =
+  QCheck2.Gen.(
+    let member =
+      oneof
+        [
+          map (fun b -> ("ok", Sink.Bool b)) bool;
+          map (fun c -> ("code", Sink.Str c))
+            (oneofl [ "ok"; "overloaded"; "error"; "deadline_exceeded"; "" ]);
+          map (fun b -> ("cached", Sink.Bool b)) bool;
+          map (fun j -> ("analysis", j)) gen_json;
+          map (fun j -> ("error", j)) gen_json;
+          map (fun j -> (List.nth [ "ok"; "code"; "cached"; "fingerprint" ] (abs (Hashtbl.hash j) mod 4), j)) gen_json;
+          pair gen_key gen_json;
+        ]
+    in
+    map
+      (fun (members, seed, top, edits) ->
+        let j = if top = 0 then Sink.Obj members else if top = 1 then Sink.List [] else Sink.Str "x" in
+        let next = lcg seed in
+        let compact = Sink.to_string j in
+        let buf = Buffer.create (String.length compact * 2) in
+        let in_string = ref false and escaped = ref false in
+        String.iter
+          (fun c ->
+            if (not !in_string) && next 5 = 0 then Buffer.add_char buf ' ';
+            Buffer.add_char buf c;
+            if !in_string then begin
+              if !escaped then escaped := false
+              else if c = '\\' then escaped := true
+              else if c = '"' then in_string := false
+            end
+            else if c = '"' then in_string := true)
+          compact;
+        List.fold_left apply_edit (Buffer.contents buf) edits)
+      (quad (list_size (0 -- 7) member) nat (frequency [ (8, pure 0); (1, pure 1); (1, pure 2) ])
+         (frequency [ (3, pure []); (1, list_size (1 -- 2) gen_edit) ])))
+
+let scan_law =
+  QCheck2.Test.make ~name:"answer scan = Sink.member on the tree" ~count:3000
+    ~print:(Printf.sprintf "%S") gen_answer_line (fun line ->
+      match (Protocol.scan_answer line, Sink.of_string line) with
+      | Error a, Error b -> String.equal a b
+      | Ok a, Ok j ->
+        String.equal a.Protocol.line line
+        && a.Protocol.code = Protocol.response_code j
+        && a.Protocol.cached
+           = (match Sink.member "cached" j with Some (Sink.Bool b) -> Some b | _ -> None)
+        && compare
+             (Option.map
+                (fun (start, stop) -> Sink.of_string (String.sub line start (stop - start)))
+                a.Protocol.analysis)
+             (Option.map Result.ok (Sink.member "analysis" j))
+           = 0
+        && Option.fold ~none:true
+             ~some:(fun (start, stop) ->
+               (* The span is the value's own bytes, no surrounding space. *)
+               stop > start && line.[start] <> ' ' && line.[stop - 1] <> ' ')
+             a.Protocol.analysis
+      | _ -> false)
+
 let () =
   Alcotest.run "bi_wire"
     [
@@ -801,4 +1047,6 @@ let () =
           Alcotest.test_case "wire errors pinned" `Quick test_invalid_game_errors;
           QCheck_alcotest.to_alcotest codec_law;
         ] );
+      ( "byte-path",
+        List.map QCheck_alcotest.to_alcotest [ splice_law; decoder_law; scan_law ] );
     ]
