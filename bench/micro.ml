@@ -264,8 +264,10 @@ let serve_hit_tests =
 (* The read path of a hit on a large inline game: parse the ~20 KB
    request line of a random 1500-vertex tree game (a [LCG] draws the
    tree so the line never depends on the stdlib's [Random]) and
-   fingerprint what it describes. *)
-let tree_line =
+   fingerprint what it describes.  Its costs are one digit each; its
+   twin writes each as 20 digits, past the machine word, so every cost
+   takes the [Rat] route. *)
+let tree_line cost =
   let state = ref 42 in
   let next bound =
     state := ((!state * 25214903917) + 11) land 0xFFFF_FFFF_FFFF;
@@ -273,19 +275,29 @@ let tree_line =
   in
   let n = 1500 in
   let edges =
-    List.init (n - 1) (fun v -> (next (v + 1), v + 1, Rat.of_int (1 + next 9)))
+    List.init (n - 1) (fun v -> (next (v + 1), v + 1, cost (1 + next 9)))
   in
   let graph = Graphs.Graph.make Undirected ~n edges in
   let prior = Prob.Dist.make [ ([| (next n, next n); (next n, next n) |], Rat.one) ] in
   Engine.Sink.to_string (Serve.Protocol.analyze_request graph ~prior)
 
-let tree_hit_test =
-  Test.make ~name:"wire parse + fingerprint, 1500-vertex tree line"
+let tree_hit_test name line =
+  Test.make ~name
     (Staged.stage (fun () ->
-         match Serve.Protocol.parse_request tree_line with
+         match Serve.Protocol.parse_request line with
          | Ok { Serve.Protocol.query = Serve.Protocol.Analyze { graph; prior; _ }; _ } ->
            ignore (Sys.opaque_identity (Cache.Fingerprint.game graph ~prior))
          | _ -> assert false))
+
+let tree_hit_tests =
+  let wide c =
+    Rat.of_bigint (Bigint.add (Bigint.of_string "10000000000000000000") (Bigint.of_int c))
+  in
+  [
+    tree_hit_test "wire parse + fingerprint, 1500-vertex tree line" (tree_line Rat.of_int);
+    tree_hit_test "wire parse + fingerprint, 1500-vertex tree line, 20-digit costs"
+      (tree_line wide);
+  ]
 
 (* Digest-rollup kernel: fold 10k resident (key, check) pairs into the
    256-bucket md5 rollup that anti-entropy rounds and online fsck
@@ -345,9 +357,9 @@ let benchmark () =
          rat_cmp_small_test; rat_cmp_large_test; simplex_pivot_test;
          profile_cost_test; dijkstra_test; steiner_test; equilibria_test;
          descent_test; section4_test; correlated_test; frt_test; fingerprint_test;
-         cache_hit_test; tree_hit_test; digest_rollup_test;
+         cache_hit_test; digest_rollup_test;
        ]
-      @ serve_hit_tests)
+      @ tree_hit_tests @ serve_hit_tests)
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =

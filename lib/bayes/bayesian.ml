@@ -91,13 +91,6 @@ let social_cost_at g s t =
 let social_cost g s =
   Dist.expectation_ext (fun t -> social_cost_at g s t) g.prior
 
-let action_social_cost g t a =
-  let acc = ref Extended.zero in
-  for i = 0 to g.players - 1 do
-    acc := Extended.add !acc (g.cost t a i)
-  done;
-  !acc
-
 (* Interim cost of player i at type ti when she plays action [ai]
    there while everyone else follows s. *)
 let interim_cost_of_action g s i ti ai =

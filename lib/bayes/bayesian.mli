@@ -61,12 +61,6 @@ val social_cost : t -> strategy_profile -> Extended.t
 val social_cost_at : t -> strategy_profile -> int array -> Extended.t
 (** [K(s, t)]: social cost of the induced action profile under [t]. *)
 
-val action_social_cost : t -> int array -> int array -> Extended.t
-(** [action_social_cost g t a = K_t(a) = sum_i C_{i,t}(a)] — the social
-    cost of a fixed action profile at a type profile, no strategies
-    involved.  The LP objectives of the correlated-play subsystem are
-    assembled from these values. *)
-
 (** {1 Equilibria} *)
 
 val best_type_deviation : t -> strategy_profile -> int -> int -> (int * Extended.t) option

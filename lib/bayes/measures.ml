@@ -105,12 +105,3 @@ let observation_2_2_holds r =
       | Some b, Some w -> b <= w
       | _ -> true)
 
-let pp_opt fmt = function
-  | Some c -> Extended.pp fmt c
-  | None -> Format.pp_print_string fmt "n/a"
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "@[<v>optP       = %a@,best-eqP   = %a@,worst-eqP  = %a@,optC       = %a@,best-eqC   = %a@,worst-eqC  = %a@]"
-    Extended.pp r.opt_p pp_opt r.best_eq_p pp_opt r.worst_eq_p Extended.pp
-    r.opt_c pp_opt r.best_eq_c pp_opt r.worst_eq_c

@@ -59,5 +59,3 @@ val ratios_of_report : report -> ratios
 val observation_2_2_holds : report -> bool
 (** Checks [optC <= optP <= best-eqP <= worst-eqP] (Observation 2.2)
     whenever the equilibrium quantities exist. *)
-
-val pp_report : Format.formatter -> report -> unit

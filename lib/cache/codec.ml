@@ -180,7 +180,7 @@ let game_to_json graph ~prior =
     ]
 
 (* An inline game is read straight off the request line into the
-   arrays [Graph.of_arrays] keeps, with no tree in between.  Each field
+   arrays the graph keeps, with no tree in between.  Each field
    keeps its first occurrence, as [Sink.member] would, and the fields
    are checked in the order kind, n, edges, prior whatever order the
    line gives them in.  A value of the wrong shape is read again as a
@@ -188,10 +188,16 @@ let game_to_json graph ~prior =
    [Sink.Lex.Error] with the message and offset of [Sink.of_string]. *)
 module Lex = Sink.Lex
 
+(* An inline game's edge costs: machine-integer pairs as written, or
+   rationals once one of them does not fit. *)
+type costs =
+  | Ints of int array * int array
+  | Rats of Rat.t array
+
 type game_fields = {
   mutable kind : (Graph.kind, string) result option;
   mutable n : (int, string) result option;
-  mutable edges : (int array * int array * Rat.t array, string) result option;
+  mutable edges : (int array * int array * costs, string) result option;
   mutable prior : (((int * int) array * Rat.t) list, string) result option;
 }
 
@@ -246,40 +252,100 @@ let enter c ~depth =
 let next c = if not (Lex.next_item c) then raise_notrace Lex.Mismatch
 let close c = if Lex.next_item c then raise_notrace Lex.Mismatch
 
-(* The edges are gathered in lists, which stay in the minor heap, and
-   copied once into arrays of their exact length: growing arrays would
-   leave large blocks on the major heap for every inline game read.
-   The cost array starts filled with an old value, so filling it
-   forces no minor collection.  An edge's cost error counts only once
-   the edge has its [[src, dst, cost]] shape. *)
-let read_edges c ~depth =
-  let src = ref [] and dst = ref [] and costs = ref [] and m = ref 0 in
-  let edge () =
-    enter c ~depth:(depth + 1);
-    let s = Lex.int c ~depth:(depth + 2) in
-    next c;
-    let d = Lex.int c ~depth:(depth + 2) in
-    next c;
-    let cost = read_rat c ~depth:(depth + 2) in
-    close c;
-    match cost with
-    | Ok cost ->
-      src := s :: !src;
-      dst := d :: !dst;
-      costs := cost :: !costs;
-      incr m;
-      Ok ()
-    | Error e -> Error e
+(* Each edge is read as four ints (src, dst and the cost's numerator
+   and denominator as written) into chunks of [chunk] edges, small
+   enough for the minor heap, then copied once into arrays of the
+   exact length.  An edge written as the encoder writes it, with a
+   cost of at most 18 digits a part, is read in one pass
+   ({!Lex.small_edge}): no per-edge string, [Rat] or promotion.  Any
+   other edge is read by the general readers and its cost by
+   [rat_of_string], as every edge was; a cost that does not fit
+   machine integers is kept aside, and then the graph gets [Rat]
+   costs.  An edge's cost error counts only once the edge has its
+   [[src, dst, cost]] shape. *)
+let chunk = 64
+
+type edge_buffer = {
+  mutable full : int array list;  (* full chunks, newest first *)
+  mutable cur : int array;
+  mutable fill : int;  (* edges in [cur] *)
+  mutable count : int;
+  mutable big : (int * Rat.t) list;  (* ids and costs that do not fit; their den is 0 *)
+}
+
+let read_cost c ~depth b slot =
+  match read_rat c ~depth with
+  | Ok r ->
+    (match (Bigint.to_int_opt (Rat.num r), Bigint.to_int_opt (Rat.den r)) with
+    | Some p, Some q ->
+      b.cur.(slot + 2) <- p;
+      b.cur.(slot + 3) <- q
+    | _ ->
+      b.cur.(slot + 2) <- 0;
+      b.cur.(slot + 3) <- 0;
+      b.big <- (b.count, r) :: b.big);
+    Ok ()
+  | Error _ as e -> e
+
+let read_edge c ~depth b =
+  if b.fill = chunk then begin
+    b.full <- b.cur :: b.full;
+    b.cur <- Array.make (4 * chunk) 0;
+    b.fill <- 0
+  end;
+  let slot = 4 * b.fill in
+  let at = Lex.pos c in
+  match
+    if Lex.small_edge c ~depth b.cur slot then Ok ()
+    else begin
+      enter c ~depth;
+      b.cur.(slot) <- Lex.int c ~depth:(depth + 1);
+      next c;
+      b.cur.(slot + 1) <- Lex.int c ~depth:(depth + 1);
+      next c;
+      let cost = read_cost c ~depth:(depth + 1) b slot in
+      close c;
+      cost
+    end
+  with
+  | Ok () ->
+    b.fill <- b.fill + 1;
+    b.count <- b.count + 1;
+    Ok ()
+  | Error _ as e -> e
+  | exception Lex.Mismatch ->
+    Error (reread c ~depth at "edge must be [src, dst, cost], got %s")
+
+let edge_arrays b =
+  let m = b.count in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let num = Array.make m 0 and den = Array.make m 0 in
+  let copy chunk base k =
+    for i = 0 to k - 1 do
+      src.(base + i) <- chunk.(4 * i);
+      dst.(base + i) <- chunk.((4 * i) + 1);
+      num.(base + i) <- chunk.((4 * i) + 2);
+      den.(base + i) <- chunk.((4 * i) + 3)
+    done
   in
+  copy b.cur (m - b.fill) b.fill;
+  List.iteri (fun j full -> copy full (m - b.fill - ((j + 1) * chunk)) chunk) b.full;
+  let costs =
+    match b.big with
+    | [] -> Ints (num, den)
+    | big ->
+      let costs = Array.make m Rat.zero in
+      List.iter (fun (id, r) -> costs.(id) <- r) big;
+      Array.iteri (fun id q -> if q <> 0 then costs.(id) <- Rat.of_ints num.(id) q) den;
+      Rats costs
+  in
+  (src, dst, costs)
+
+let read_edges c ~depth =
+  let b = { full = []; cur = Array.make (4 * chunk) 0; fill = 0; count = 0; big = [] } in
   read_list c ~depth ~not_a_list:"edges must be a list, got %s" (fun () ->
-      shaped c ~depth:(depth + 1) "edge must be [src, dst, cost], got %s" edge)
-  |> Result.map (fun () ->
-         let array filler l =
-           let a = Array.make !m filler in
-           List.iteri (fun i v -> a.(!m - 1 - i) <- v) l;
-           a
-         in
-         (array 0 !src, array 0 !dst, array Rat.zero !costs))
+      read_edge c ~depth:(depth + 1) b)
+  |> Result.map (fun () -> edge_arrays b)
 
 let read_types c ~depth =
   let pairs = ref [] in
@@ -355,7 +421,12 @@ let game_of_fields f =
      always won over an invalid edge on the wire. *)
   match
     let prior = Dist.make entries in
-    (Graph.of_arrays kind ~n ~src ~dst ~costs, prior)
+    let graph =
+      match costs with
+      | Ints (num, den) -> Graph.of_int_costs kind ~n ~src ~dst ~num ~den
+      | Rats costs -> Graph.of_arrays kind ~n ~src ~dst ~costs
+    in
+    (graph, prior)
   with
   | graph, prior -> Ok (graph, prior)
   | exception Invalid_argument msg -> error "invalid game description: %s" msg

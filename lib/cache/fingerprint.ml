@@ -65,6 +65,16 @@ let add_rat o r =
     add_bigint o (Rat.den r)
   end
 
+(* Costs [num.(a)/den.(a)] and [num.(b)/den.(b)], reduced and
+   non-negative, ordered as [Rat.compare] orders them: by the
+   cross-products when all four parts are below 2^31, so neither
+   product overflows, and as rationals otherwise. *)
+let compare_int_costs num den a b =
+  let p = num.(a) and q = den.(a) and r = num.(b) and s = den.(b) in
+  if q = s then Int.compare p r
+  else if p lor q lor r lor s < 1 lsl 31 then Int.compare (p * s) (r * q)
+  else Rat.compare (Rat.of_ints p q) (Rat.of_ints r s)
+
 (* The ids of [from] stably sorted by [key.(id)], a value below [1 lsl
    bits]: an LSD radix sort, [width] bits (at most 8: 256 buckets in
    [start], a minor-heap array) per counting pass, that moves the ids
@@ -109,9 +119,15 @@ let rec radix_sort key ~bits ~width ~shift start from into =
      ([Dist.make] has already merged duplicates and normalized weights
      to sum to one, erasing both insertion order and weight scaling).
    Everything is read from the graph's edge store, so fingerprinting
-   never derives its edge records or adjacency; [Rat.compare] runs only
-   between parallel edges. *)
+   never derives its edge records, adjacency or (from machine-integer
+   costs) rationals; costs are compared only between parallel edges. *)
 let render graph ~prior =
+  let int_costs = Graph.int_costs graph in
+  let compare_costs =
+    match int_costs with
+    | Some (num, den) -> compare_int_costs num den
+    | None -> fun a b -> Rat.compare (Graph.cost graph a) (Graph.cost graph b)
+  in
   let directed = Graph.is_directed graph in
   let n = Graph.n_vertices graph and m = Graph.n_edges graph in
   let o = { bytes = Bytes.create (64 + (24 * m)); len = 0 } in
@@ -150,17 +166,17 @@ let render graph ~prior =
     done;
     if !j - !i > 1 then begin
       let run = Array.sub order !i (!j - !i) in
-      Array.stable_sort
-        (fun a b -> Rat.compare (Graph.cost graph a) (Graph.cost graph b))
-        run;
+      Array.stable_sort compare_costs run;
       Array.blit run 0 order !i (!j - !i)
     end;
     i := !j
   done;
   for i = 0 to m - 1 do
     let id = order.(i) in
-    (* "e <src> <dst> ": one reservation for the whole prefix *)
-    reserve o 44;
+    (* "e <src> <dst> <num>/<den>\n": one reservation for a line of
+       four machine integers of at most 20 bytes each (a [Rat] cost
+       reserves its own room) *)
+    reserve o 88;
     let b = o.bytes in
     Bytes.unsafe_set b o.len 'e';
     Bytes.unsafe_set b (o.len + 1) ' ';
@@ -168,9 +184,22 @@ let render graph ~prior =
     Bytes.unsafe_set b p ' ';
     let p = put_int b (p + 1) dst.(id) in
     Bytes.unsafe_set b p ' ';
-    o.len <- p + 1;
-    add_rat o (Graph.cost graph id);
-    add_char o '\n'
+    match int_costs with
+    | Some (num, den) ->
+      let p = put_int b (p + 1) num.(id) in
+      let p =
+        if den.(id) = 1 then p
+        else begin
+          Bytes.unsafe_set b p '/';
+          put_int b (p + 1) den.(id)
+        end
+      in
+      Bytes.unsafe_set b p '\n';
+      o.len <- p + 1
+    | None ->
+      o.len <- p + 1;
+      add_rat o (Graph.cost graph id);
+      add_char o '\n'
   done;
   let profile = { bytes = Bytes.create 32; len = 0 } in
   let entries =

@@ -16,10 +16,6 @@ let ratio_cell = function
   | Some r -> rat_cell r
   | None -> "undefined"
 
-let pp_cell fmt c = Format.pp_print_string fmt (ext_cell c)
-let pp_cell_opt fmt c = Format.pp_print_string fmt (ext_opt_cell c)
-let pp_ratio fmt r = Format.pp_print_string fmt (ratio_cell r)
-
 let table ~header rows =
   let all = header :: rows in
   let cols = List.fold_left (fun acc r -> Stdlib.max acc (List.length r)) 0 all in

@@ -2,13 +2,6 @@
 
 open Bi_num
 
-val pp_cell : Format.formatter -> Extended.t -> unit
-(** Exact value followed by a float approximation, e.g. ["7/3 (~2.333)"]. *)
-
-val pp_cell_opt : Format.formatter -> Extended.t option -> unit
-
-val pp_ratio : Format.formatter -> Rat.t option -> unit
-
 val table : header:string list -> string list list -> string
 (** Renders an aligned plain-text table. *)
 

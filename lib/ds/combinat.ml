@@ -63,5 +63,3 @@ let argmin f ~cmp seq = argbest (fun c -> c < 0) f ~cmp seq
 let argmax f ~cmp seq = argbest (fun c -> c > 0) f ~cmp seq
 
 let range n = List.init n Fun.id
-
-let sum_by f xs = List.fold_left (fun acc x -> acc + f x) 0 xs

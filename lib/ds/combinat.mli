@@ -32,4 +32,3 @@ val argmax : ('a -> 'b) -> cmp:('b -> 'b -> int) -> 'a Seq.t -> ('a * 'b) option
 val range : int -> int list
 (** [range n] is [[0; 1; ...; n-1]]. *)
 
-val sum_by : ('a -> int) -> 'a list -> int

@@ -13,8 +13,6 @@ type t = {
   leaf : int array; (* graph vertex -> leaf node id *)
 }
 
-let n_nodes t = Array.length t.nodes
-let tree_root _ = 0
 let leaf_of_vertex t v = t.leaf.(v)
 let center t i = t.nodes.(i).center
 let parent t i =

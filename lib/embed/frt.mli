@@ -27,8 +27,6 @@ type t
 val sample : Random.State.t -> Bi_graph.Graph.t -> t
 (** @raise Invalid_argument on directed, empty or disconnected input. *)
 
-val n_nodes : t -> int
-val tree_root : t -> int
 val leaf_of_vertex : t -> int -> int
 val center : t -> int -> int
 (** Center (graph vertex) of a tree node's cluster. *)

@@ -8,7 +8,6 @@ let map_reduce pool ?chunk ~monoid f xs =
   fold monoid (Pool.map_array pool ?chunk f xs)
 
 let rat_sum = { empty = Rat.zero; combine = Rat.add }
-let ext_sum = { empty = Extended.zero; combine = Extended.add }
 let int_sum = { empty = 0; combine = ( + ) }
 
 let both ma mb =

@@ -24,7 +24,6 @@ val map_reduce : Pool.t -> ?chunk:int -> monoid:'b monoid -> ('a -> 'b) -> 'a ar
     combines the images left-to-right in input order. *)
 
 val rat_sum : Rat.t monoid
-val ext_sum : Extended.t monoid
 val int_sum : int monoid
 val both : 'a monoid -> 'b monoid -> ('a * 'b) monoid
 (** Componentwise product monoid — one pass, two reductions. *)

@@ -234,10 +234,6 @@ module Lex = struct
       c.tok_stop - c.tok_start = l && same 0
 
   (* One number token.  [None]: an integer, left in [c.num]; [Some f]: a
-     float.  An optional sign and at most 18 digits cannot overflow and
-     read as [int_of_string] reads them; everything rarer (fractions,
-     exponents, long integers) takes the general route. *)
-  (* One number token.  [None]: an integer, left in [c.num]; [Some f]: a
      float.  The token is the longest run of [0-9+-.eE]; an optional
      sign and at most 18 digits cannot overflow and read as
      [int_of_string] reads them, and is decoded in the same pass.
@@ -427,6 +423,77 @@ module Lex = struct
     if peek c ~depth <> '"' then raise_notrace Mismatch;
     string_token c;
     token c
+
+  (* An optional '-' and 1-18 digits at [c.s.[p..stop)], up to the
+     first other byte: the value goes to [c.num] and the position after
+     the digits is returned, or -1 when there are none or more than 18
+     (which could overflow). *)
+  let small_int_at c p stop =
+    let s = c.s in
+    let negative = p < stop && String.unsafe_get s p = '-' in
+    let first = if negative then p + 1 else p in
+    let q = ref first and acc = ref 0 in
+    while
+      !q < stop
+      &&
+      match String.unsafe_get s !q with
+      | '0' .. '9' as ch ->
+        acc := (!acc * 10) + Char.code ch - 48;
+        true
+      | _ -> false
+    do
+      incr q
+    done;
+    let digits = !q - first in
+    if digits = 0 || digits > 18 then -1
+    else begin
+      c.num <- (if negative then - !acc else !acc);
+      !q
+    end
+
+  (* One pass over the compact form the encoder writes, without the
+     general readers' depth, whitespace and type checks per token: an
+     item is taken only if every byte is where the general readers
+     would take it, so they accept and reject exactly the same items. *)
+  let small_edge c ~depth into at =
+    let s = c.s and n = c.n and p = c.pos in
+    depth < max_depth
+    && p < n
+    && String.unsafe_get s p = '['
+    &&
+    let p = small_int_at c (p + 1) n in
+    p >= 0 && p < n && String.unsafe_get s p = ','
+    &&
+    let src = c.num in
+    let p = small_int_at c (p + 1) n in
+    p >= 0
+    && p + 1 < n
+    && String.unsafe_get s p = ','
+    && String.unsafe_get s (p + 1) = '"'
+    &&
+    let dst = c.num in
+    let p = small_int_at c (p + 2) n in
+    p >= 0 && p < n
+    &&
+    let num = c.num in
+    let p =
+      if String.unsafe_get s p <> '/' then begin
+        c.num <- 1;
+        p
+      end
+      else small_int_at c (p + 1) n
+    in
+    p >= 0 && c.num <> 0 && p + 1 < n
+    && String.unsafe_get s p = '"'
+    && String.unsafe_get s (p + 1) = ']'
+    && begin
+      into.(at) <- src;
+      into.(at + 1) <- dst;
+      into.(at + 2) <- num;
+      into.(at + 3) <- c.num;
+      c.pos <- p + 2;
+      true
+    end
 
   let finish c =
     skip_ws c;

@@ -84,6 +84,19 @@ module Lex : sig
   (** Reads one value that must be a string.
       @raise Mismatch on any other well-formed value. *)
 
+  val small_edge : t -> depth:int -> int array -> int -> bool
+  (** [small_edge c ~depth into at] reads the value at the cursor in one
+      pass when it is written as {!to_string} writes an edge of an
+      inline game: ['\['], two integers and a string holding an integer
+      or a fraction [n/d] with [d <> 0], separated by commas, with no
+      whitespace, every integer an optional ['-'] and 1-18 digits.  The
+      string's digits are read in place, as an integer token's are.
+      Then [into.(at)] to [into.(at + 3)] receive the two integers, the
+      numerator and the denominator as written (neither reduced nor
+      sign-normalised), and the result is [true].  Otherwise the result
+      is [false] and the cursor has not moved, for the general readers
+      to read the value as if this had not been tried. *)
+
   val first_item : t -> bool
   (** At a ['\['] returned by {!peek}: enters the array; [true] when it
       has a first item, then at the cursor. *)

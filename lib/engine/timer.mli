@@ -34,9 +34,5 @@ val timed : (unit -> 'a) -> 'a * span
 val pp_seconds : Format.formatter -> float -> unit
 (** Renders a duration as [12.34s]. *)
 
-val pp_words : Format.formatter -> float -> unit
-(** Renders a word count with a scale suffix: [1.23G], [4.56M], [7.89k]
-    or a bare count below a thousand. *)
-
 val pp_span : Format.formatter -> span -> unit
 (** Renders [12.34s, 1.23Gw minor + 4.56Mw major]. *)

@@ -12,36 +12,88 @@ type edge = {
 }
 
 (* The edges are stored flat, indexed by id: all that validation, the
-   canonical fingerprint and edge-by-id lookups read.  The edge records
-   and the adjacency lists that traversals read are derived from the
-   store on first use and published through an [Atomic]: domains that
-   race on a first use each derive the same immutable value, and either
-   copy may stay.  (A [Lazy.t] would raise in a domain that forces it
-   while another domain is still forcing it.) *)
+   canonical fingerprint and edge-by-id lookups read.  A cost is kept
+   as a reduced pair of machine integers when every cost of the graph
+   fits one, and as a [Rat] otherwise, so a graph that is only
+   fingerprinted never builds a rational.  The costs as [Rat]s, the
+   edge records and the adjacency lists that traversals read are
+   derived from the store on first use (the [Rat]s are given when the
+   graph was built from them) and published through an [Atomic]:
+   domains that race on a first use each derive the same immutable
+   value, and either copy may stay.  (A [Lazy.t] would raise in a
+   domain that forces it while another domain is still forcing it.) *)
+type store =
+  | Ints of int array * int array  (* cost id = num.(id) / den.(id), reduced, den > 0 *)
+  | Rats of Rat.t array
+
 type t = {
   kind : kind;
   n : int;
   srcs : int array;
   dsts : int array;
-  costs : Rat.t array;
+  store : store;
+  rats : Rat.t array option Atomic.t;
   records : edge array option Atomic.t;
   adj : (edge * int) list array option Atomic.t; (* (edge, endpoint reached) *)
 }
 
-let of_arrays kind ~n ~src ~dst ~costs =
+let check_endpoints ~n ~src ~dst id =
+  let s = src.(id) and d = dst.(id) in
+  if s < 0 || s >= n || d < 0 || d >= n then invalid_arg "Graph.make: vertex out of range"
+
+let check_sizes name ~n m lengths =
   if n < 0 then invalid_arg "Graph.make: negative vertex count";
+  if List.exists (fun l -> l <> m) lengths then
+    invalid_arg (name ^ ": arrays of different lengths")
+
+let of_arrays kind ~n ~src ~dst ~costs =
   let m = Array.length src in
-  if Array.length dst <> m || Array.length costs <> m then
-    invalid_arg "Graph.of_arrays: arrays of different lengths";
+  check_sizes "Graph.of_arrays" ~n m [ Array.length dst; Array.length costs ];
   for id = 0 to m - 1 do
-    let s = src.(id) and d = dst.(id) in
-    if s < 0 || s >= n || d < 0 || d >= n then
-      invalid_arg "Graph.make: vertex out of range";
+    check_endpoints ~n ~src ~dst id;
     if Stdlib.( < ) (Rat.sign costs.(id)) 0 then
       invalid_arg "Graph.make: negative edge cost"
   done;
-  { kind; n; srcs = src; dsts = dst; costs; records = Atomic.make None;
-    adj = Atomic.make None }
+  let num = Array.make m 0 and den = Array.make m 1 in
+  let rec fit id =
+    id = m
+    ||
+    match (Bigint.to_int_opt (Rat.num costs.(id)), Bigint.to_int_opt (Rat.den costs.(id))) with
+    | Some p, Some q ->
+      num.(id) <- p;
+      den.(id) <- q;
+      fit (id + 1)
+    | _ -> false
+  in
+  let store = if fit 0 then Ints (num, den) else Rats costs in
+  { kind; n; srcs = src; dsts = dst; store; rats = Atomic.make (Some costs);
+    records = Atomic.make None; adj = Atomic.make None }
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let of_int_costs kind ~n ~src ~dst ~num ~den =
+  let m = Array.length src in
+  check_sizes "Graph.of_int_costs" ~n m
+    [ Array.length dst; Array.length num; Array.length den ];
+  for id = 0 to m - 1 do
+    check_endpoints ~n ~src ~dst id;
+    let p = num.(id) and q = den.(id) in
+    if q = 0 then raise Division_by_zero;
+    if p = min_int || q = min_int then invalid_arg "Graph.of_int_costs: cost out of range";
+    let p = if q < 0 then -p else p and q = abs q in
+    if p < 0 then invalid_arg "Graph.make: negative edge cost";
+    if q = 1 then begin
+      num.(id) <- p;
+      den.(id) <- 1
+    end
+    else begin
+      let g = gcd p q in
+      num.(id) <- p / g;
+      den.(id) <- q / g
+    end
+  done;
+  { kind; n; srcs = src; dsts = dst; store = Ints (num, den); rats = Atomic.make None;
+    records = Atomic.make None; adj = Atomic.make None }
 
 let make kind ~n edge_specs =
   let m = List.length edge_specs in
@@ -55,15 +107,29 @@ let make kind ~n edge_specs =
     edge_specs;
   of_arrays kind ~n ~src ~dst ~costs
 
+let derive_rats g =
+  let rats =
+    match g.store with
+    | Rats costs -> costs
+    | Ints (num, den) -> Array.init (Array.length num) (fun id -> Rat.of_ints num.(id) den.(id))
+  in
+  Atomic.set g.rats (Some rats);
+  rats
+
+let rats g = match Atomic.get g.rats with Some r -> r | None -> derive_rats g
+
+let int_costs g = match g.store with Ints (num, den) -> Some (num, den) | Rats _ -> None
+
 (* Filler for the record array.  A module-level value is old after the
    first minor collection, so [Array.make] of a large array does not
    force one to promote its filler, as it does for a young value. *)
 let placeholder = { id = -1; src = 0; dst = 0; cost = Rat.zero }
 
 let derive_records g =
+  let costs = rats g in
   let records = Array.make (Array.length g.srcs) placeholder in
   for id = 0 to Array.length records - 1 do
-    records.(id) <- { id; src = g.srcs.(id); dst = g.dsts.(id); cost = g.costs.(id) }
+    records.(id) <- { id; src = g.srcs.(id); dst = g.dsts.(id); cost = costs.(id) }
   done;
   Atomic.set g.records (Some records);
   records
@@ -108,7 +174,7 @@ let edge_dst g id =
 
 let cost g id =
   check_id g id;
-  g.costs.(id)
+  (rats g).(id)
 
 let total_cost g ids =
   let ids = List.sort_uniq Stdlib.compare ids in

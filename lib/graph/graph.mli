@@ -8,12 +8,14 @@
     Undirected graphs store each edge once; traversal sees it in both
     directions.  Directed graphs traverse [src -> dst] only.
 
-    Building a graph validates and stores its edges, nothing more: the
-    edge records ({!edges}, {!edge}) and the adjacency lists that
-    traversals read ({!succ}, shortest paths, {!reachable}) are derived
-    on first use, once per graph, and are safe to derive from several
-    domains at once.  So a graph that is only fingerprinted or looked up
-    by edge id never pays for them. *)
+    Building a graph validates and stores its edges, nothing more.  The
+    costs are kept as reduced pairs of machine integers when every one
+    fits ({!int_costs}), and as rationals otherwise.  The costs as
+    rationals ({!cost}), the edge records ({!edges}, {!edge}) and the
+    adjacency lists that traversals read ({!succ}, shortest paths,
+    {!reachable}) are derived on first use, once per graph, and are
+    safe to derive from several domains at once.  So a graph that is
+    only fingerprinted never builds a rational or a record. *)
 
 open Bi_num
 
@@ -44,6 +46,16 @@ val of_arrays :
     so the caller must not modify them afterwards.
     @raise Invalid_argument also when the lengths differ. *)
 
+val of_int_costs :
+  kind -> n:int -> src:int array -> dst:int array -> num:int array -> den:int array -> t
+(** [of_int_costs kind ~n ~src ~dst ~num ~den] is {!of_arrays} with the
+    cost of edge [i] given as [num.(i) / den.(i)], in any sign and not
+    necessarily reduced: the same checks and messages, and the same
+    graph.  [num] and [den] become the graph's store, reduced in place,
+    so the caller must not use them afterwards.
+    @raise Division_by_zero on a zero denominator, and
+    [Invalid_argument] on a [min_int] numerator or denominator. *)
+
 val kind : t -> kind
 val is_directed : t -> bool
 val n_vertices : t -> int
@@ -57,8 +69,16 @@ val edge_dst : t -> int -> int
 
 val cost : t -> int -> Rat.t
 (** Endpoints and cost of an edge id, read from the store: unlike
-    {!edge}, these never derive the edge records.
+    {!edge}, these never derive the edge records ([cost] derives the
+    costs as rationals, once per graph, when they are kept as
+    integers).
     @raise Invalid_argument on bad id. *)
+
+val int_costs : t -> (int array * int array) option
+(** [Some (num, den)] when the graph keeps every cost as machine
+    integers: the cost of edge [id] is [num.(id) / den.(id)], reduced,
+    with [den.(id) > 0].  The arrays are the graph's store and must not
+    be modified.  [None] when some cost does not fit. *)
 
 val total_cost : t -> int list -> Rat.t
 (** Sum of costs of the given edge ids (duplicates counted once). *)

@@ -579,11 +579,6 @@ let solve ?(on_pivot = fun () -> ()) p =
    tampered with in any coordinate fails on the first violated
    condition. *)
 
-let objective_value p x =
-  if Array.length x <> Array.length p.c then
-    invalid_arg "Simplex.objective_value: length mismatch";
-  dot (Rat.Acc.create ()) p.c x
-
 let feasible p x =
   let m = Array.length p.b and n = Array.length p.c in
   if Array.length x <> n then Error "primal vector has the wrong length"

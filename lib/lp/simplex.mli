@@ -113,9 +113,6 @@ val feasible : problem -> Rat.t array -> (unit, string) result
 (** [feasible p x] checks [A x = b] and [x >= 0] only — membership of
     [x] in the feasible polytope, no optimality claim. *)
 
-val objective_value : problem -> Rat.t array -> Rat.t
-(** [c.x], exactly. @raise Invalid_argument on length mismatch. *)
-
 val pivot :
   binv:Rat.t array array ->
   xb:Rat.t array ->

@@ -23,7 +23,7 @@ type t = {
    probed with a connect — only a refused connection proves the socket
    is stale and safe to unlink.  A live listener or a non-socket file
    is an error, not a casualty. *)
-let bind_listener = function
+let bind_listener ~backlog = function
   | Unix_socket path ->
     if Sys.file_exists path then begin
       (match (Unix.lstat path).Unix.st_kind with
@@ -51,16 +51,16 @@ let bind_listener = function
     end;
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 16;
+    Unix.listen fd backlog;
     fd
   | Tcp port ->
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
     Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen fd 16;
+    Unix.listen fd backlog;
     fd
 
-let create ?(idle_timeout_s = 0.) ?(on_idle_close = fun () -> ()) listen =
+let create ?(idle_timeout_s = 0.) ?(on_idle_close = fun () -> ()) ?(backlog = 16) listen =
   {
     lock = Mutex.create ();
     conns = Hashtbl.create 16;
@@ -68,7 +68,7 @@ let create ?(idle_timeout_s = 0.) ?(on_idle_close = fun () -> ()) listen =
     finished = [];
     next_conn = 0;
     stop = Atomic.make false;
-    listen_fd = bind_listener listen;
+    listen_fd = bind_listener ~backlog listen;
     listen;
     idle_timeout_s;
     on_idle_close;

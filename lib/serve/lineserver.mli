@@ -22,9 +22,10 @@ type listen = Unix_socket of string | Tcp of int
 type t
 
 val create :
-  ?idle_timeout_s:float -> ?on_idle_close:(unit -> unit) -> listen -> t
+  ?idle_timeout_s:float -> ?on_idle_close:(unit -> unit) -> ?backlog:int -> listen -> t
 (** Binds the listening socket immediately (so a bad address fails
-    before any serving starts).  [idle_timeout_s > 0] closes
+    before any serving starts), with room for [backlog] (default 16)
+    connections not yet accepted.  [idle_timeout_s > 0] closes
     connections whose next request does not arrive in time, reporting
     each through [on_idle_close].
     @raise Failure when the listen address is held by a live server or

@@ -391,9 +391,13 @@ let dump_metrics t path =
 let run ?pool ?metrics_out ?on_ready ?(limits = default_limits) ?chaos ~cache
     listen =
   let metrics = create_metrics () in
+  (* Room to queue as many connections as admission would take
+     requests, so a burst of clients that the limits admit is not
+     turned away by the listener's queue first. *)
   let ls =
     Lineserver.create ~idle_timeout_s:limits.idle_timeout_s
       ~on_idle_close:(fun () -> Metrics.incr metrics.idle_closed)
+      ~backlog:(limits.max_concurrent + limits.max_queue)
       listen
   in
   let t =

@@ -14,10 +14,12 @@
     [limits.max_queue] more wait, and further analysis requests are
     shed immediately with a structured [overloaded] response carrying a
     [retry_after_ms] hint.  Cache hits, coalesced waits, [stats] and
-    [shutdown] are never shed.  A request's [deadline_ms] (capped by
-    [limits.max_deadline_ms] when set) bounds its wall-clock time —
-    queueing included — via {!Bi_engine.Budget}; an expired request
-    gets [deadline_exceeded], never a partial answer.  With
+    [shutdown] are never shed.  The listener queues up to
+    [max_concurrent + max_queue] connections not yet accepted.  A
+    request's [deadline_ms] (capped by [limits.max_deadline_ms] when
+    set) bounds its wall-clock time — queueing included — via
+    {!Bi_engine.Budget}; an expired request gets [deadline_exceeded],
+    never a partial answer.  With
     [limits.idle_timeout_s] set, connections idle past it are closed.
 
     A {!Chaos} configuration injects deterministic faults (partition

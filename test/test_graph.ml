@@ -548,6 +548,57 @@ let test_of_arrays () =
     (fun () ->
       ignore (Graph.of_arrays Directed ~n:3 ~src:[| 0; 3 |] ~dst:[| 1; 0 |] ~costs:[| r 1; r (-1) |]))
 
+(* Integer costs are reduced and sign-normalised once, at construction,
+   and checked as [of_arrays] checks rationals. *)
+let test_of_int_costs () =
+  let g =
+    Graph.of_int_costs Directed ~n:3 ~src:[| 0; 1; 2; 0 |] ~dst:[| 1; 2; 0; 2 |]
+      ~num:[| 6; -3; 0; 7 |] ~den:[| 4; -9; -5; 1 |]
+  in
+  Alcotest.(check (option (pair (array int) (array int)))) "reduced store"
+    (Some ([| 3; 1; 0; 7 |], [| 2; 3; 1; 1 |]))
+    (Graph.int_costs g);
+  Alcotest.(check (list rat)) "costs as rationals" [ rr 3 2; rr 1 3; r 0; r 7 ]
+    (List.map (fun e -> e.Graph.cost) (Graph.edges g));
+  Alcotest.check_raises "negative cost" (Invalid_argument "Graph.make: negative edge cost")
+    (fun () ->
+      ignore (Graph.of_int_costs Directed ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~num:[| 3 |] ~den:[| -4 |]));
+  Alcotest.check_raises "zero denominator" Division_by_zero (fun () ->
+      ignore (Graph.of_int_costs Directed ~n:2 ~src:[| 0 |] ~dst:[| 1 |] ~num:[| 3 |] ~den:[| 0 |]));
+  let big = Rat.make (Bigint.of_string "100000000000000000000") Bigint.one in
+  Alcotest.(check bool) "rationals that fit are kept as integers" true
+    (Graph.int_costs (Graph.make Directed ~n:2 [ (0, 1, rr 6 4) ])
+    = Some ([| 3 |], [| 2 |]));
+  Alcotest.(check bool) "one that does not keeps them all rational" true
+    (Graph.int_costs (Graph.make Directed ~n:2 [ (0, 1, r 1); (1, 0, big) ]) = None)
+
+(* The costs and records of an integer-cost graph are derived on first
+   use, by whichever domain gets there first: two domains that force
+   them at once see the same costs. *)
+let test_derive_from_two_domains () =
+  for round = 1 to 20 do
+    let m = 2000 in
+    let num = Array.init m (fun i -> (i * 7) + round) and den = Array.init m (fun i -> 1 + (i mod 5)) in
+    let expected = Array.init m (fun i -> rr num.(i) den.(i)) in
+    let g =
+      Graph.of_int_costs Undirected ~n:m ~src:(Array.init m Fun.id)
+        ~dst:(Array.init m (fun i -> (i + 1) mod m)) ~num ~den
+    in
+    let ready = Atomic.make 0 in
+    let force by_cost () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      if by_cost then Array.init m (Graph.cost g)
+      else Array.of_list (List.map (fun e -> e.Graph.cost) (Graph.edges g))
+    in
+    let a = Domain.spawn (force (round mod 2 = 0)) and b = Domain.spawn (force true) in
+    let a = Domain.join a and b = Domain.join b in
+    Alcotest.(check bool) (Printf.sprintf "round %d" round) true
+      (Array.for_all2 Rat.equal a expected && Array.for_all2 Rat.equal b expected)
+  done
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -569,6 +620,9 @@ let () =
           Alcotest.test_case "orientation" `Quick test_succ_orientation;
           Alcotest.test_case "multigraph" `Quick test_multigraph;
           Alcotest.test_case "flat store" `Quick test_of_arrays;
+          Alcotest.test_case "integer costs" `Quick test_of_int_costs;
+          Alcotest.test_case "costs derived from two domains" `Quick
+            test_derive_from_two_domains;
         ] );
       ( "shortest_paths",
         [

@@ -970,6 +970,57 @@ let test_bind_listener_safety () =
   Thread.join server;
   Service.close cache
 
+(* The listener queues as many connections as admission would take
+   requests (8 + 64 by default): 40 clients that connect before the
+   accept loop starts, from [on_ready], all get in.  A backlog of 16
+   takes 17 of them and refuses the 18th with EAGAIN. *)
+let test_listen_backlog () =
+  let dir = Filename.temp_file "bi_backlog" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket = Filename.concat dir "bi.sock" in
+  let cache = Service.create () in
+  let ready = Mutex.create () and readied = Condition.create () in
+  let connects = ref None in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.set_nonblock fd;
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () -> Ok fd
+    | exception Unix.Unix_error (err, _, _) ->
+      Unix.close fd;
+      Error err
+  in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.run
+          ~on_ready:(fun () ->
+            let outcomes = List.init 40 (fun _ -> connect ()) in
+            Mutex.lock ready;
+            connects := Some outcomes;
+            Condition.signal readied;
+            Mutex.unlock ready)
+          ~cache (Server.Unix_socket socket))
+      ()
+  in
+  Mutex.lock ready;
+  while Option.is_none !connects do
+    Condition.wait readied ready
+  done;
+  Mutex.unlock ready;
+  let outcomes = Option.get !connects in
+  List.iter (function Ok fd -> Unix.close fd | Error _ -> ()) outcomes;
+  let c = Client.connect_unix socket in
+  ignore (request_ok c Protocol.shutdown_request);
+  Client.close c;
+  Thread.join server;
+  Service.close cache;
+  Alcotest.(check (list string)) "every connect queued" []
+    (List.filter_map
+       (function Ok _ -> None | Error err -> Some (Unix.error_message err))
+       outcomes)
+
 (* --- digest / pull verbs ---------------------------------------------- *)
 
 let test_parse_digest_pull () =
@@ -1326,6 +1377,8 @@ let () =
             test_idle_timeout_and_reconnect;
           Alcotest.test_case "listener refuses live socket" `Quick
             test_bind_listener_safety;
+          Alcotest.test_case "listen backlog follows the admission limits" `Quick
+            test_listen_backlog;
           Alcotest.test_case "digest and pull verbs end to end" `Quick
             test_digest_pull_end_to_end;
           Alcotest.test_case "refused and stalled connections" `Quick

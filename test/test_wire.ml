@@ -940,6 +940,8 @@ let oracle_request line =
       | None -> Some (Error "analyze: missing \"game\"")
       | Some g -> Some (Result.map_error (( ^ ) "analyze: ") (Game_oracle.game_of_json g)))
 
+(* The decoded game [g2] also renders as the tree-sorting reference
+   renders it, so a fault shared by both graphs' stores still shows. *)
 let same_game (g1, p1) (g2, p2) =
   Graph.kind g1 = Graph.kind g2
   && Graph.n_vertices g1 = Graph.n_vertices g2
@@ -949,19 +951,91 @@ let same_game (g1, p1) (g2, p2) =
          && Rat.equal a.Graph.cost b.Graph.cost)
        (Graph.edges g1) (Graph.edges g2)
   && Fingerprint.game g1 ~prior:p1 = Fingerprint.game g2 ~prior:p2
+  && String.equal (Fingerprint.description g2 ~prior:p2) (reference_description g2 ~prior:p2)
+
+(* The decoder's reading of a plain [analyze] line against the
+   oracle's: the same game or the same error string. *)
+let agrees_with_oracle expected line =
+  match (expected, Protocol.parse_request line) with
+  | Error a, Error b -> String.equal a b
+  | Ok g, Ok { Protocol.query = Protocol.Analyze { graph; prior; _ }; _ } ->
+    same_game g (graph, prior)
+  | expected, actual ->
+    QCheck2.Test.fail_reportf "oracle %s, decoder %s"
+      (match expected with Ok _ -> "Ok" | Error e -> "Error " ^ e)
+      (match actual with Ok _ -> "Ok" | Error e -> "Error " ^ e)
 
 let decoder_law =
   QCheck2.Test.make ~name:"inline-game decoder = tree-walk oracle" ~count:3000
     ~print:(Printf.sprintf "%S") gen_analyze_line (fun line ->
-      match (oracle_request line, Protocol.parse_request line) with
-      | None, _ -> true
-      | Some (Error a), Error b -> String.equal a b
-      | Some (Ok g), Ok { Protocol.query = Protocol.Analyze { graph; prior; _ }; _ } ->
-        same_game g (graph, prior)
-      | Some expected, actual ->
-        QCheck2.Test.fail_reportf "oracle %s, decoder %s"
-          (match expected with Ok _ -> "Ok" | Error e -> "Error " ^ e)
-          (match actual with Ok _ -> "Ok" | Error e -> "Error " ^ e))
+      match oracle_request line with
+      | None -> true
+      | Some expected -> agrees_with_oracle expected line)
+
+(* Edge costs on both sides of the machine word: 17-20-digit parts (the
+   in-place reader takes at most 18 digits, and 19 may or may not fit
+   63 bits), unreduced fractions, the spellings [rat_of_string] reads
+   in its own way, an escaped digit, and now and then a zero
+   denominator or a negative cost.  Games have 2-4 vertices, so most
+   edges have parallel copies, whose costs' cross-products overflow. *)
+let gen_wide_cost =
+  QCheck2.Gen.(
+    let digits k =
+      map
+        (fun ds -> String.concat "" (List.mapi (fun i d -> string_of_int (if i = 0 then 1 + (d mod 9) else d)) ds))
+        (list_repeat k (int_bound 9))
+    in
+    let long = int_range 17 20 >>= digits in
+    let small = map string_of_int (int_range 0 40) in
+    let fraction a b = map2 (fun a b -> a ^ "/" ^ b) a b in
+    frequency
+      [
+        (4, long);
+        (6, fraction long long);
+        (2, fraction small long);
+        (2, fraction long small);
+        ( 3,
+          map2
+            (fun k (p, q) -> Printf.sprintf "%d/%d" (k * p) (k * q))
+            (int_range 1 1000)
+            (pair (int_range 0 50) (int_range 1 50)) );
+        (2, small);
+        ( 2,
+          oneofl [ "-0"; "+3"; "007"; "0/5"; "-0/7"; "6/4"; "3/2"; "-6/-4"; "0012/0008"; {|\u0033/2|} ] );
+        ( 1,
+          oneofl
+            [ "3/-4"; "1/0"; "0/0"; "-5/-0"; "12345678901234567890/0"; "7/000" ] );
+      ])
+
+let gen_wide_line =
+  QCheck2.Gen.(
+    map
+      (fun (directed, n, edges, (spaced, seed)) ->
+        let edge (s, d, cost) = Printf.sprintf {|[%d,%d,"%s"]|} (s mod n) (d mod n) cost in
+        let line =
+          Printf.sprintf
+            {|{"op":"analyze","game":{"kind":"%s","n":%d,"edges":[%s],"prior":[{"types":[[0,1]],"weight":"1"}]}}|}
+            (if directed then "directed" else "undirected")
+            n
+            (String.concat "," (List.map edge edges))
+        in
+        if not spaced then line
+        else
+          let next = lcg seed in
+          String.concat ""
+            (List.map
+               (fun c -> if c = ',' && next 3 = 0 then ", " else String.make 1 c)
+               (List.init (String.length line) (String.get line))))
+      (quad bool (int_range 2 4)
+         (list_size (int_range 1 12) (triple (int_bound 3) (int_bound 3) gen_wide_cost))
+         (pair bool nat)))
+
+let wide_decoder_law =
+  QCheck2.Test.make ~name:"costs past 63 bits: decoder = tree-walk oracle"
+    ~count:2000 ~print:(Printf.sprintf "%S") gen_wide_line (fun line ->
+      match oracle_request line with
+      | None -> QCheck2.Test.fail_report "not a plain analyze line"
+      | Some expected -> agrees_with_oracle expected line)
 
 (* Answer-shaped objects: the members the router reads, under duplicate
    keys, in any order, with values of any shape; random whitespace;
@@ -1048,5 +1122,6 @@ let () =
           QCheck_alcotest.to_alcotest codec_law;
         ] );
       ( "byte-path",
-        List.map QCheck_alcotest.to_alcotest [ splice_law; decoder_law; scan_law ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ splice_law; decoder_law; wide_decoder_law; scan_law ] );
     ]
